@@ -15,14 +15,12 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <span>
 
 #include "baselines/button_scroll.h"
 #include "baselines/distance_scroll.h"
 #include "baselines/radial_scroll.h"
 #include "baselines/tilt_scroll.h"
 #include "baselines/wheel_scroll.h"
-#include "study/batch_trials.h"
 #include "study/report.h"
 #include "study/sweep_runner.h"
 #include "study/task.h"
@@ -99,39 +97,8 @@ int main() {
   const auto scalar_cell = [&](std::size_t index, sim::Rng rng) {
     return run_cell(grid.coord(index, 0), kDistances[grid.coord(index, 1)], rng);
   };
-  // Batched group body: DistScroll cells (technique axis 0) become
-  // kernel lanes drawing the same task/trial streams; the other
-  // techniques run the scalar body.
-  const auto batched_group = [&](std::size_t first, std::size_t n,
-                                 std::span<CellResult> out, study::SweepRunner& runner) {
-    auto& batch = study::BatchTrialRunner::local();
-    batch.begin_group(n);
-    bool any_lane = false;
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t index = first + k;
-      if (grid.coord(index, 0) != 0) {  // not DistScroll
-        out[k] = scalar_cell(index, runner.cell_rng(index));
-        continue;
-      }
-      sim::Rng rng = runner.cell_rng(index);
-      sim::Rng task_rng = rng.fork(2);
-      const auto tasks = banded_tasks(task_rng, kDistances[grid.coord(index, 1)]);
-      batch.init_cell(k, baselines::DistanceScroll::Config{}, rng.fork(1), tasks,
-                      human::UserProfile::average(), rng.fork(3));
-      any_lane = true;
-    }
-    if (any_lane) batch.run();
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t index = first + k;
-      if (grid.coord(index, 0) != 0) continue;
-      const auto agg = study::aggregate(batch.records(k));
-      out[k].id_bits =
-          std::log2(static_cast<double>(kDistances[grid.coord(index, 1)]) + 1.0);
-      out[k].mean_time_s = agg.mean_time_s;
-    }
-  };
-  const auto cells = study::timed_sweep_batched<CellResult>(
-      "exp_fitts_law", grid.cells(), 0xF1775, scalar_cell, batched_group);
+  const auto cells =
+      study::timed_sweep<CellResult>("exp_fitts_law", grid.cells(), 0xF1775, scalar_cell);
   std::printf("\n");
 
   study::Table table({"technique", "a [s]", "b [s/bit]", "R^2", "TP=1/b [bit/s]"});

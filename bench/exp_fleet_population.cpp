@@ -206,7 +206,6 @@ int main() {
   report.speedup = 1.0;
   report.bit_identical = fleet_bit_identical;
   report.tracing_compiled = distscroll::obs::Tracer::compiled_in();
-  report.batch_width = 0;  // no sweep-style batched pass in this bench
   report.peak_rss_bytes = rss_final;
   report.fleet_participants = static_cast<std::size_t>(participants);
   report.fleet_wall_s = fleet_wall_s;

@@ -163,7 +163,6 @@ int main() {
   report.speedup = 1.0;
   report.bit_identical = host_bit_identical;
   report.tracing_compiled = distscroll::obs::Tracer::compiled_in();
-  report.batch_width = 0;  // no sweep-style batched pass in this bench
   report.peak_rss_bytes = study::sweep_peak_rss_bytes();
   report.host_devices = devices;
   report.host_wall_s = host_wall_s;

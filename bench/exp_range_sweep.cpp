@@ -9,11 +9,9 @@
 // Each range is one SweepRunner cell (RNG forked off the cell index;
 // bit-identical at any thread count), timed into BENCH_exp_range_sweep.json.
 #include <cstdio>
-#include <span>
 #include <vector>
 
 #include "baselines/distance_scroll.h"
-#include "study/batch_trials.h"
 #include "study/report.h"
 #include "study/sweep_runner.h"
 #include "study/task.h"
@@ -57,29 +55,8 @@ int main() {
   const auto scalar_cell = [&](std::size_t index, sim::Rng rng) {
     return run_range(kRanges[index].near, kRanges[index].far, rng);
   };
-  // Batched group body: every cell is a DistScroll session (one range
-  // per lane), aggregated from the kernel's trial records.
-  const auto batched_group = [&](std::size_t first, std::size_t n,
-                                 std::span<study::Aggregate> out, study::SweepRunner& runner) {
-    auto& batch = study::BatchTrialRunner::local();
-    batch.begin_group(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t index = first + k;
-      sim::Rng rng = runner.cell_rng(index);
-      baselines::DistanceScroll::Config config;
-      config.islands.near = util::Centimeters{kRanges[index].near};
-      config.islands.far = util::Centimeters{kRanges[index].far};
-      sim::Rng task_rng = rng.fork(2);
-      const auto tasks = study::random_tasks(task_rng, 10, 30);
-      batch.init_cell(k, config, rng.fork(1), tasks, human::UserProfile::average(), rng.fork(3));
-    }
-    batch.run();
-    for (std::size_t k = 0; k < n; ++k) {
-      out[k] = study::aggregate(batch.records(k));
-    }
-  };
-  const auto cells = study::timed_sweep_batched<study::Aggregate>(
-      "exp_range_sweep", std::size(kRanges), 0xBEEF, scalar_cell, batched_group);
+  const auto cells = study::timed_sweep<study::Aggregate>("exp_range_sweep", std::size(kRanges),
+                                                          0xBEEF, scalar_cell);
   std::printf("\n");
 
   study::Table table({"range[cm]", "note", "time[s]", "success", "err/trial", "corrections"});

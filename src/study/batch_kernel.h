@@ -43,7 +43,6 @@
 #include "baselines/distance_scroll.h"
 #include "core/island_mapper.h"
 #include "core/scroll_controller.h"
-#include "input/debouncer.h"
 #include "sensors/gp2d120.h"
 #include "sim/random.h"
 
@@ -133,45 +132,6 @@ class BatchSessionKernel {
   std::vector<double> sensor_noise_;       // per remeasure, pre-drawn
   std::vector<double> adc_noise_;          // per tick, pre-drawn
   std::vector<std::uint16_t> sampled_;     // per tick: quantised ADC counts
-};
-
-/// SoA debounce FSM: N firmware button channels advanced in lockstep,
-/// one tick column per call. Bit-identical to N scalar input::Debouncer
-/// instances fed the same per-channel sample streams (pinned by
-/// batch_test) — the batched counterpart for device-fleet inputs, where
-/// every session carries a select button. (The study trial path models
-/// the select press as time cost, so the kernel above has no button
-/// stream to feed this; the device fleet does.)
-class BatchDebouncer {
- public:
-  explicit BatchDebouncer(std::size_t channels, input::Debouncer::Config config = {})
-      : config_(config), stable_low_(channels, 0), counter_(channels, 0) {}
-
-  [[nodiscard]] std::size_t channels() const { return stable_low_.size(); }
-  [[nodiscard]] bool pressed(std::size_t channel) const { return stable_low_[channel] != 0; }
-
-  /// Feed one raw sample per channel (one firmware tick across the
-  /// fleet). edges_out[c]: +1 debounced press edge, -1 release edge,
-  /// 0 no edge — the batched equivalent of the scalar callbacks.
-  void tick(std::span<const hw::PinLevel> raw, std::span<std::int8_t> edges_out) {
-    for (std::size_t c = 0; c < stable_low_.size(); ++c) {
-      const bool low = raw[c] == hw::PinLevel::Low;
-      std::int8_t edge = 0;
-      if (low == (stable_low_[c] != 0)) {
-        counter_[c] = 0;
-      } else if (++counter_[c] >= config_.stable_ticks) {
-        stable_low_[c] = low ? 1 : 0;
-        counter_[c] = 0;
-        edge = low ? 1 : -1;
-      }
-      edges_out[c] = edge;
-    }
-  }
-
- private:
-  input::Debouncer::Config config_;
-  std::vector<std::uint8_t> stable_low_;  // 1 = debounced Low (pressed)
-  std::vector<int> counter_;
 };
 
 }  // namespace distscroll::study

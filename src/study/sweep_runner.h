@@ -18,13 +18,12 @@
 // timed_sweep harness, which runs every bench both ways and compares.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <initializer_list>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -120,33 +119,6 @@ class SweepRunner {
     return slots;
   }
 
-  /// Batched mode: cells are handed to `group_body` in contiguous
-  /// groups of up to `width`, the parallel work unit. The body gets
-  /// (first, n, out, runner) and must write cell first+k's result into
-  /// out[k] using cell_rng(first+k) — same per-cell streams and slots
-  /// as run(), so a group body that loops the scalar cell body is
-  /// exactly run(), and a body that advances the group's cells through
-  /// one BatchSessionKernel is the batched fast path. Under the same
-  /// contract the output stays bit-identical to run() at any thread
-  /// count and any width.
-  template <typename Result, typename GroupBody>
-  std::vector<Result> run_grouped(std::size_t count, std::size_t width, GroupBody&& group_body) {
-    std::vector<Result> slots(count);
-    if (width == 0) width = 1;
-    const std::size_t groups = (count + width - 1) / width;
-    auto run_group = [&](std::size_t group) {
-      const std::size_t first = group * width;
-      const std::size_t n = std::min(width, count - first);
-      group_body(first, n, std::span<Result>(slots.data() + first, n), *this);
-    };
-    if (pool_) {
-      pool_->parallel_for(groups, run_group, config_.chunk);
-    } else {
-      for (std::size_t group = 0; group < groups; ++group) run_group(group);
-    }
-    return slots;
-  }
-
  private:
   SweepConfig config_;
   sim::Rng root_;
@@ -154,10 +126,20 @@ class SweepRunner {
   std::optional<sim::ThreadPool> pool_;
 };
 
+/// Wall clock for the bench timing harness (steady clock, seconds).
+[[nodiscard]] double sweep_wall_clock_s();
+
+/// Process-wide peak resident set in bytes (getrusage ru_maxrss; 0 where
+/// unavailable). Monotone over the process lifetime — flatness across a
+/// growing workload is how the fleet bench proves O(aggregates) memory.
+[[nodiscard]] std::size_t sweep_peak_rss_bytes();
+
 /// Shared bench timing harness: runs the sweep sequentially, then on the
-/// resolved thread count, asserts the results compare equal (the
-/// determinism contract, checked on every bench run), prints a summary
-/// line and writes BENCH_<name>.json. Returns the sequential results.
+/// resolved thread count, compares the results (the determinism
+/// contract, checked on every bench run), prints a summary line and
+/// writes BENCH_<name>.json. Returns the sequential results. When the
+/// parallel results differ, the process exits with EXIT_FAILURE after
+/// the json is written, so a broken contract fails the bench run itself.
 /// Result must provide operator==.
 ///
 /// Per-cell metric snapshots: the sequential pass times every cell into
@@ -166,32 +148,11 @@ class SweepRunner {
 /// and the whole registry is embedded as the "metrics" object of
 /// BENCH_<name>.json. Only the single-threaded pass records, so the
 /// registry needs no locking and the parallel pass stays untouched.
-[[nodiscard]] double sweep_wall_clock_s();
-
-/// Process-wide peak resident set in bytes (getrusage ru_maxrss; 0 where
-/// unavailable). Monotone over the process lifetime — flatness across a
-/// growing workload is how the fleet bench proves O(aggregates) memory.
-[[nodiscard]] std::size_t sweep_peak_rss_bytes();
-
-/// Default lane count for the batched pass: big enough to amortise the
-/// shared island-table cache and keep several sessions resident, small
-/// enough that a group's scratch stays cache-friendly on the 1-2 CPU
-/// CI hosts (see DESIGN.md §11 on batch-width selection).
-inline constexpr std::size_t kDefaultBatchWidth = 8;
-
-/// timed_sweep with an explicit batched group body: after the timed
-/// sequential and parallel passes, a third sequential pass runs the
-/// sweep through run_grouped(count, batch_width, group_body), is timed,
-/// and is compared bit-identical against the scalar reference. The
-/// BENCH json gains batch_width / batched_wall_s / batch_speedup /
-/// batch_bit_identical, which the bench_compare perf gate checks.
-template <typename Result, typename Body, typename GroupBody>
-std::vector<Result> timed_sweep_batched(const std::string& name, std::size_t count,
-                                        std::uint64_t base_seed, Body&& body,
-                                        GroupBody&& group_body,
-                                        std::size_t batch_width = kDefaultBatchWidth,
-                                        std::size_t threads = 0, std::size_t chunk = 1,
-                                        obs::MetricsRegistry* metrics = nullptr) {
+template <typename Result, typename Body>
+std::vector<Result> timed_sweep(const std::string& name, std::size_t count,
+                                std::uint64_t base_seed, Body&& body,
+                                std::size_t threads = 0, std::size_t chunk = 1,
+                                obs::MetricsRegistry* metrics = nullptr) {
   obs::MetricsRegistry local_metrics;
   obs::MetricsRegistry& registry = metrics ? *metrics : local_metrics;
   obs::Histogram& cell_wall =
@@ -220,14 +181,6 @@ std::vector<Result> timed_sweep_batched(const std::string& name, std::size_t cou
   auto results = parallel.run<Result>(count, body);
   const double t3 = sweep_wall_clock_s();
 
-  // Batched pass: sequential (like the reference, so the speedup is a
-  // clean same-thread-count comparison) and unprofiled (like the
-  // parallel pass).
-  SweepRunner batched({1, chunk, base_seed});
-  const double t4 = sweep_wall_clock_s();
-  auto batched_results = batched.run_grouped<Result>(count, batch_width, group_body);
-  const double t5 = sweep_wall_clock_s();
-
   util::BenchReport report;
   report.name = name;
   report.cells = count;
@@ -240,12 +193,6 @@ std::vector<Result> timed_sweep_batched(const std::string& name, std::size_t cou
                        : 1.0;
   report.bit_identical = results == expected;
   report.tracing_compiled = obs::Tracer::compiled_in();
-  report.batch_width = batch_width;
-  report.batched_wall_s = t5 - t4;
-  report.batch_speedup = report.batched_wall_s > 0.0
-                             ? report.sequential_wall_s / report.batched_wall_s
-                             : 1.0;
-  report.batch_bit_identical = batched_results == expected;
   report.peak_rss_bytes = sweep_peak_rss_bytes();
   registry.counter("cells_run").set(count);
   report.metrics_json = registry.to_json_fields(4);
@@ -255,29 +202,11 @@ std::vector<Result> timed_sweep_batched(const std::string& name, std::size_t cou
               name.c_str(), count, report.sequential_wall_s, report.parallel_wall_s,
               report.threads, report.speedup,
               report.bit_identical ? "bit-identical" : "DIVERGED", name.c_str());
-  std::printf("[%s] batched x%zu: %.3f s sequential (%.2fx vs scalar, results %s)\n",
-              name.c_str(), batch_width, report.batched_wall_s, report.batch_speedup,
-              report.batch_bit_identical ? "bit-identical" : "DIVERGED");
+  if (!report.bit_identical) {
+    std::fprintf(stderr, "[%s] parallel results DIVERGED from sequential\n", name.c_str());
+    std::exit(EXIT_FAILURE);
+  }
   return expected;
-}
-
-/// Shared bench timing harness without a custom batched body: the
-/// batched pass runs the scalar cell body through the grouped machinery
-/// (same cells, same streams, same slots), so every bench records batch
-/// mode even before it grows a kernel-batched group body.
-template <typename Result, typename Body>
-std::vector<Result> timed_sweep(const std::string& name, std::size_t count,
-                                std::uint64_t base_seed, Body&& body,
-                                std::size_t threads = 0, std::size_t chunk = 1,
-                                obs::MetricsRegistry* metrics = nullptr) {
-  auto scalar_group = [&body](std::size_t first, std::size_t n, std::span<Result> out,
-                              SweepRunner& runner) {
-    for (std::size_t k = 0; k < n; ++k) {
-      out[k] = body(first + k, runner.cell_rng(first + k));
-    }
-  };
-  return timed_sweep_batched<Result>(name, count, base_seed, body, scalar_group,
-                                     kDefaultBatchWidth, threads, chunk, metrics);
 }
 
 }  // namespace distscroll::study

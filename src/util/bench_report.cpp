@@ -20,17 +20,11 @@ bool write_bench_report(const BenchReport& report) {
                 "  \"speedup\": %.3f,\n"
                 "  \"bit_identical\": %s,\n"
                 "  \"tracing_compiled\": %s,\n"
-                "  \"batch_width\": %zu,\n"
-                "  \"batched_wall_s\": %.6f,\n"
-                "  \"batch_speedup\": %.3f,\n"
-                "  \"batch_bit_identical\": %s,\n"
                 "  \"peak_rss_bytes\": %zu",
                 report.name.c_str(), report.cells, report.threads, report.hardware_threads,
                 report.sequential_wall_s, report.parallel_wall_s, report.speedup,
                 report.bit_identical ? "true" : "false",
-                report.tracing_compiled ? "true" : "false", report.batch_width,
-                report.batched_wall_s, report.batch_speedup,
-                report.batch_bit_identical ? "true" : "false", report.peak_rss_bytes);
+                report.tracing_compiled ? "true" : "false", report.peak_rss_bytes);
   out << buffer;
   if (report.fleet_participants > 0) {
     std::snprintf(buffer, sizeof(buffer),

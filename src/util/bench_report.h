@@ -21,11 +21,6 @@ struct BenchReport {
   double speedup = 1.0;          // sequential / parallel
   bool bit_identical = true;     // parallel results byte-equal to sequential
   bool tracing_compiled = true;  // DISTSCROLL_TRACING at build time
-  // Batched (SoA session-kernel) pass, sequential like the reference.
-  std::size_t batch_width = 0;   // lanes per group; 0 = no batched pass ran
-  double batched_wall_s = 0.0;
-  double batch_speedup = 1.0;    // sequential / batched
-  bool batch_bit_identical = true;  // batched results byte-equal to sequential
   /// Peak resident set (getrusage ru_maxrss) at report time, bytes.
   /// Process-wide and monotone; 0 where the probe is unavailable.
   std::size_t peak_rss_bytes = 0;

@@ -6,23 +6,21 @@
 // TrialRecord bytes of the scalar reference
 // (DistanceScroll + run_trials), at any thread count and any batch
 // width — including the CSV bytes derived from them. Also pins the
-// satellite pieces: the scalar-fallback group body, the batched
-// debounce FSM, the no-allocation claim over the kernel's hot block,
-// and the glove-sensitivity constant the batched trial driver inlines.
+// no-allocation claim over the kernel's hot block and the
+// glove-sensitivity constant the batched trial driver inlines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <span>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "baselines/distance_scroll.h"
 #include "human/user_profile.h"
-#include "hw/gpio.h"
-#include "input/debouncer.h"
 #include "sim/random.h"
 #include "study/batch_kernel.h"
 #include "study/batch_trials.h"
@@ -36,9 +34,37 @@
 namespace distscroll::study {
 namespace {
 
-constexpr std::size_t kCells = 6;
+constexpr std::size_t kCells = 7;  // 3 + 3 + 1 lanes at kBatchWidth
 constexpr std::size_t kTrialsPerCell = 6;
 constexpr std::size_t kBatchWidth = 3;  // uneven split: last group is smaller
+
+/// A cell's selection tasks, drawn from the cell's task stream.
+using TaskGenerator = std::vector<SelectionTask> (*)(sim::Rng& task_rng, std::size_t menu,
+                                                     std::size_t cell);
+
+/// Uniform random targets, as most exp_* benches draw them.
+std::vector<SelectionTask> uniform_tasks(sim::Rng& task_rng, std::size_t menu, std::size_t) {
+  return random_tasks(task_rng, menu, kTrialsPerCell);
+}
+
+/// exp_fitts_law's banded tasks: targets in [16, 23] of a 40-entry
+/// list, start = target +- d, with d in {1, 2, 4, 8, 16} chosen by cell.
+std::vector<SelectionTask> fitts_banded_tasks(sim::Rng& task_rng, std::size_t menu,
+                                              std::size_t cell) {
+  const std::size_t distances[] = {1, 2, 4, 8, 16};
+  const std::size_t distance = distances[cell % std::size(distances)];
+  std::vector<SelectionTask> tasks;
+  while (tasks.size() < kTrialsPerCell) {
+    const auto target = static_cast<std::size_t>(task_rng.uniform_int(16, 23));
+    const bool down = task_rng.bernoulli(0.5);
+    SelectionTask task;
+    task.level_size = menu;
+    task.target_index = target;
+    task.start_index = down ? target - distance : target + distance;
+    tasks.push_back(task);
+  }
+  return tasks;
+}
 
 /// One swept configuration, mirroring what the seven exp_* benches
 /// actually drive through DistScroll.
@@ -47,6 +73,7 @@ struct SweepCase {
   baselines::DistanceScroll::Config config;
   human::Glove glove = human::Glove::None;
   std::size_t menu = 10;
+  TaskGenerator tasks = uniform_tasks;
 };
 
 std::vector<SweepCase> sweep_suite() {
@@ -88,6 +115,8 @@ std::vector<SweepCase> sweep_suite() {
     c.config.islands.coverage = 1.0;
     cases.push_back(c);
   }
+  // exp_fitts_law: banded targets at swept scroll distances.
+  cases.push_back({"fitts-banded", {}, human::Glove::None, 40, fitts_banded_tasks});
   return cases;
 }
 
@@ -105,16 +134,17 @@ CellOut scalar_cell(const SweepCase& c, std::size_t index, sim::Rng rng) {
                            .with_expertise(0.25 + 0.1 * static_cast<double>(index))
                            .with_glove(c.glove);
   sim::Rng task_rng = rng.fork(2);
-  const auto tasks = random_tasks(task_rng, c.menu, kTrialsPerCell);
+  const auto tasks = c.tasks(task_rng, c.menu, index);
   CellOut out;
   out.records = run_trials(technique, tasks, profile, rng.fork(3));
   return out;
 }
 
-/// The batched group body: same fork decomposition, lanes instead of a
-/// technique object.
-void batched_group(const SweepCase& c, std::size_t first, std::size_t n,
-                   std::span<CellOut> out, SweepRunner& runner) {
+/// The batched group body: cells first..first+n-1 as kernel lanes, same
+/// per-cell streams and fork decomposition, lanes instead of a technique
+/// object.
+std::vector<CellOut> batched_group(const SweepCase& c, std::size_t first, std::size_t n,
+                                   const SweepRunner& runner) {
   auto& batch = BatchTrialRunner::local();
   batch.begin_group(n);
   for (std::size_t k = 0; k < n; ++k) {
@@ -124,14 +154,16 @@ void batched_group(const SweepCase& c, std::size_t first, std::size_t n,
                              .with_expertise(0.25 + 0.1 * static_cast<double>(index))
                              .with_glove(c.glove);
     sim::Rng task_rng = rng.fork(2);
-    const auto tasks = random_tasks(task_rng, c.menu, kTrialsPerCell);
+    const auto tasks = c.tasks(task_rng, c.menu, index);
     batch.init_cell(k, c.config, rng.fork(1), tasks, profile, rng.fork(3));
   }
   batch.run();
+  std::vector<CellOut> out(n);
   for (std::size_t k = 0; k < n; ++k) {
     const auto records = batch.records(k);
     out[k].records.assign(records.begin(), records.end());
   }
+  return out;
 }
 
 std::vector<CellOut> run_scalar(const SweepCase& c, std::size_t threads, std::uint64_t seed) {
@@ -141,13 +173,19 @@ std::vector<CellOut> run_scalar(const SweepCase& c, std::size_t threads, std::ui
   });
 }
 
+/// Groups of kBatchWidth cells are the parallel work unit; each cell
+/// still draws from cell_rng(cell), so grouping cannot shift a stream.
 std::vector<CellOut> run_batched(const SweepCase& c, std::size_t threads, std::uint64_t seed) {
   SweepRunner runner({threads, 1, seed});
-  return runner.run_grouped<CellOut>(
-      kCells, kBatchWidth,
-      [&](std::size_t first, std::size_t n, std::span<CellOut> out, SweepRunner& r) {
-        batched_group(c, first, n, out, r);
+  const std::size_t groups = (kCells + kBatchWidth - 1) / kBatchWidth;
+  const auto grouped =
+      runner.run<std::vector<CellOut>>(groups, [&](std::size_t group, sim::Rng) {
+        const std::size_t first = group * kBatchWidth;
+        return batched_group(c, first, std::min(kBatchWidth, kCells - first), runner);
       });
+  std::vector<CellOut> cells;
+  for (const auto& group : grouped) cells.insert(cells.end(), group.begin(), group.end());
+  return cells;
 }
 
 TEST(BatchKernel, BitIdenticalToScalarAcrossSweepSuiteSingleThread) {
@@ -203,59 +241,6 @@ TEST(BatchKernel, CsvBytesUnchangedByBatchedMode) {
   const std::string scalar_bytes = slurp(scalar_path);
   ASSERT_FALSE(scalar_bytes.empty());
   EXPECT_EQ(slurp(batched_path), scalar_bytes);
-}
-
-/// run_grouped with a loop-the-scalar-body group is exactly run() — the
-/// fallback every bench without a kernel-batched body rides.
-TEST(SweepRunner, GroupedScalarFallbackEqualsRun) {
-  const auto body = [](std::size_t index, sim::Rng rng) {
-    return static_cast<double>(index) + rng.uniform01();
-  };
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    SweepRunner plain({1, 1, 77});
-    const auto expected = plain.run<double>(10, body);
-    SweepRunner grouped({threads, 1, 77});
-    const auto got = grouped.run_grouped<double>(
-        10, 4, [&](std::size_t first, std::size_t n, std::span<double> out, SweepRunner& r) {
-          for (std::size_t k = 0; k < n; ++k) out[k] = body(first + k, r.cell_rng(first + k));
-        });
-    EXPECT_EQ(got, expected) << "threads " << threads;
-  }
-}
-
-/// The batched debounce FSM advances N channels exactly as N scalar
-/// Debouncer instances fed the same streams, edges included.
-TEST(BatchDebouncer, MatchesScalarDebouncers) {
-  constexpr std::size_t kChannels = 5;
-  const input::Debouncer::Config config{};
-  std::vector<input::Debouncer> scalar(kChannels, input::Debouncer(config));
-  BatchDebouncer batch(kChannels, config);
-  ASSERT_EQ(batch.channels(), kChannels);
-
-  sim::Rng rng(0xDEB);
-  std::vector<hw::PinLevel> raw(kChannels);
-  std::vector<std::int8_t> edges(kChannels);
-  std::vector<bool> was_pressed(kChannels, false);
-  int total_edges = 0;
-  for (int t = 0; t < 4000; ++t) {
-    for (std::size_t c = 0; c < kChannels; ++c) {
-      // Biased toward holding a level so debounced edges actually fire.
-      raw[c] = rng.bernoulli(0.15) ? (raw[c] == hw::PinLevel::Low ? hw::PinLevel::High
-                                                                  : hw::PinLevel::Low)
-                                   : raw[c];
-    }
-    batch.tick(raw, edges);
-    for (std::size_t c = 0; c < kChannels; ++c) {
-      scalar[c].tick(raw[c]);
-      ASSERT_EQ(batch.pressed(c), scalar[c].pressed()) << "tick " << t << " channel " << c;
-      const std::int8_t scalar_edge =
-          scalar[c].pressed() == was_pressed[c] ? 0 : (scalar[c].pressed() ? 1 : -1);
-      ASSERT_EQ(edges[c], scalar_edge) << "tick " << t << " channel " << c;
-      was_pressed[c] = scalar[c].pressed();
-      total_edges += edges[c] != 0;
-    }
-  }
-  EXPECT_GT(total_edges, 0) << "stimulus never produced a debounced edge";
 }
 
 /// The kernel's hot block is allocation-free once its scratch is warm —

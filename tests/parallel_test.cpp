@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -165,6 +167,26 @@ TEST(SweepRunner, CsvBytesIdenticalAcrossThreadCounts) {
 TEST(SweepRunner, ThreadsResolveFromEnvironment) {
   // Explicit request wins over everything.
   EXPECT_EQ(study::resolve_sweep_threads(3), 3u);
+}
+
+// The bench harness fails the process when the parallel pass diverges,
+// after writing its BENCH json. The body returns a call counter, so the
+// parallel pass (calls 5..8) always differs from the sequential one
+// (calls 1..4). The child runs in a temp dir so the json lands there.
+TEST(TimedSweepDeathTest, ParallelDivergenceExitsNonZeroAfterReport) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto dir = std::filesystem::path(testing::TempDir()) / "timed_sweep_diverged";
+  std::filesystem::create_directories(dir);
+  std::filesystem::remove(dir / "BENCH_diverged_sweep.json");
+  EXPECT_EXIT(
+      {
+        std::filesystem::current_path(dir);
+        int calls = 0;
+        study::timed_sweep<int>("diverged_sweep", 4, 1,
+                                [&](std::size_t, sim::Rng) { return ++calls; }, 1);
+      },
+      testing::ExitedWithCode(EXIT_FAILURE), "DIVERGED");
+  EXPECT_TRUE(std::filesystem::exists(dir / "BENCH_diverged_sweep.json"));
 }
 
 // ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ struct ExtraFields {
 };
 
 /// Minimal BENCH report the tool's flat-key parser accepts.
-void write_report(const std::string& dir, double sequential_wall_s, bool batch_bit_identical,
-                  double batched_wall_s, const ExtraFields& extra = {}) {
+void write_report(const std::string& dir, double sequential_wall_s, bool bit_identical,
+                  const ExtraFields& extra = {}) {
   std::ofstream out(dir + "/BENCH_cli_case.json");
   out << "{\n"
       << "  \"name\": \"cli_case\",\n"
@@ -53,12 +53,8 @@ void write_report(const std::string& dir, double sequential_wall_s, bool batch_b
       << "  \"sequential_wall_s\": " << sequential_wall_s << ",\n"
       << "  \"parallel_wall_s\": " << sequential_wall_s << ",\n"
       << "  \"speedup\": 1.0,\n"
-      << "  \"bit_identical\": true,\n"
-      << "  \"tracing_compiled\": true,\n"
-      << "  \"batch_width\": 8,\n"
-      << "  \"batched_wall_s\": " << batched_wall_s << ",\n"
-      << "  \"batch_speedup\": 1.0,\n"
-      << "  \"batch_bit_identical\": " << (batch_bit_identical ? "true" : "false");
+      << "  \"bit_identical\": " << (bit_identical ? "true" : "false") << ",\n"
+      << "  \"tracing_compiled\": true";
   if (extra.peak_rss_bytes > 0.0) {
     out << ",\n  \"peak_rss_bytes\": " << static_cast<long long>(extra.peak_rss_bytes);
   }
@@ -83,7 +79,7 @@ void write_report(const std::string& dir, double sequential_wall_s, bool batch_b
 }
 
 std::string make_case_dirs(const std::string& tag, double baseline_s, double fresh_s,
-                           bool fresh_batch_identical, double fresh_batched_s,
+                           bool fresh_bit_identical,
                            const ExtraFields& baseline_extra = {},
                            const ExtraFields& fresh_extra = {}) {
   const std::string root = testing::TempDir() + "/bench_compare_" + tag;
@@ -91,8 +87,8 @@ std::string make_case_dirs(const std::string& tag, double baseline_s, double fre
   const std::string fresh = root + "/fresh";
   std::filesystem::create_directories(baseline);
   std::filesystem::create_directories(fresh);
-  write_report(baseline, baseline_s, true, baseline_s, baseline_extra);
-  write_report(fresh, fresh_s, fresh_batch_identical, fresh_batched_s, fresh_extra);
+  write_report(baseline, baseline_s, true, baseline_extra);
+  write_report(fresh, fresh_s, fresh_bit_identical, fresh_extra);
   return root;
 }
 
@@ -123,29 +119,24 @@ TEST(BenchCompareCli, MissingBaselineDirIsUsageError) {
 }
 
 TEST(BenchCompareCli, MatchingReportsPass) {
-  const std::string root = make_case_dirs("ok", 1.0, 1.0, true, 1.0);
+  const std::string root = make_case_dirs("ok", 1.0, 1.0, true);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 0);
 }
 
 TEST(BenchCompareCli, SequentialRegressionFails) {
-  const std::string root = make_case_dirs("seq_regress", 1.0, 2.0, true, 1.0);
+  const std::string root = make_case_dirs("seq_regress", 1.0, 2.0, true);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
-TEST(BenchCompareCli, BatchedDivergenceFails) {
-  const std::string root = make_case_dirs("batch_diverged", 1.0, 1.0, false, 1.0);
-  EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
-}
-
-TEST(BenchCompareCli, BatchedRegressionFails) {
-  const std::string root = make_case_dirs("batch_regress", 1.0, 1.0, true, 2.0);
+TEST(BenchCompareCli, ParallelDivergenceFails) {
+  const std::string root = make_case_dirs("par_diverged", 1.0, 1.0, false);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
 // --- memory + fleet gates -------------------------------------------------
 
 TEST(BenchCompareCli, HealthyFleetReportPasses) {
-  const std::string root = make_case_dirs("fleet_ok", 1.0, 1.0, true, 1.0, healthy_fleet(),
+  const std::string root = make_case_dirs("fleet_ok", 1.0, 1.0, true, healthy_fleet(),
                                           healthy_fleet());
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 0);
 }
@@ -153,7 +144,7 @@ TEST(BenchCompareCli, HealthyFleetReportPasses) {
 TEST(BenchCompareCli, ReportsWithoutNewFieldsStillPass) {
   // Pre-fleet baselines lack peak_rss_bytes / fleet_* entirely; the new
   // gates must skip, not fail, on the absent fields.
-  const std::string root = make_case_dirs("fleet_absent", 1.0, 1.0, true, 1.0);
+  const std::string root = make_case_dirs("fleet_absent", 1.0, 1.0, true);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 0);
 }
 
@@ -161,7 +152,7 @@ TEST(BenchCompareCli, FleetThreadDivergenceFails) {
   auto fresh = healthy_fleet();
   fresh.fleet_bit_identical = false;
   const std::string root =
-      make_case_dirs("fleet_diverged", 1.0, 1.0, true, 1.0, healthy_fleet(), fresh);
+      make_case_dirs("fleet_diverged", 1.0, 1.0, true, healthy_fleet(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -169,7 +160,7 @@ TEST(BenchCompareCli, FleetResumeDivergenceFails) {
   auto fresh = healthy_fleet();
   fresh.fleet_resume_bit_identical = false;
   const std::string root =
-      make_case_dirs("fleet_resume", 1.0, 1.0, true, 1.0, healthy_fleet(), fresh);
+      make_case_dirs("fleet_resume", 1.0, 1.0, true, healthy_fleet(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -177,7 +168,7 @@ TEST(BenchCompareCli, FleetWallRegressionFails) {
   auto fresh = healthy_fleet();
   fresh.fleet_wall_s = 20.0;  // baseline 10.0 x 1.5 = 15.0 < 20.0
   const std::string root =
-      make_case_dirs("fleet_wall", 1.0, 1.0, true, 1.0, healthy_fleet(), fresh);
+      make_case_dirs("fleet_wall", 1.0, 1.0, true, healthy_fleet(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -185,7 +176,7 @@ TEST(BenchCompareCli, FleetRssGrowthBeyondFlatnessFails) {
   auto fresh = healthy_fleet();
   fresh.fleet_rss_growth = 1.4;  // > the fixed 1.10 flatness limit
   const std::string root =
-      make_case_dirs("fleet_growth", 1.0, 1.0, true, 1.0, healthy_fleet(), fresh);
+      make_case_dirs("fleet_growth", 1.0, 1.0, true, healthy_fleet(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -193,7 +184,7 @@ TEST(BenchCompareCli, PeakRssRegressionFails) {
   auto fresh = healthy_fleet();
   fresh.peak_rss_bytes = 200e6;  // baseline 100e6 x 1.5 = 150e6 < 200e6
   const std::string root =
-      make_case_dirs("rss_regress", 1.0, 1.0, true, 1.0, healthy_fleet(), fresh);
+      make_case_dirs("rss_regress", 1.0, 1.0, true, healthy_fleet(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -209,7 +200,7 @@ ExtraFields healthy_host() {
 
 TEST(BenchCompareCli, HealthyHostReportPasses) {
   const std::string root =
-      make_case_dirs("host_ok", 1.0, 1.0, true, 1.0, healthy_host(), healthy_host());
+      make_case_dirs("host_ok", 1.0, 1.0, true, healthy_host(), healthy_host());
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 0);
 }
 
@@ -217,7 +208,7 @@ TEST(BenchCompareCli, HostThreadDivergenceFails) {
   auto fresh = healthy_host();
   fresh.host_bit_identical = false;
   const std::string root =
-      make_case_dirs("host_diverged", 1.0, 1.0, true, 1.0, healthy_host(), fresh);
+      make_case_dirs("host_diverged", 1.0, 1.0, true, healthy_host(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -226,7 +217,7 @@ TEST(BenchCompareCli, HostThroughputRegressionFails) {
   auto fresh = healthy_host();
   fresh.host_frames_per_s = 300000.0;
   const std::string root =
-      make_case_dirs("host_slow", 1.0, 1.0, true, 1.0, healthy_host(), fresh);
+      make_case_dirs("host_slow", 1.0, 1.0, true, healthy_host(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -235,7 +226,7 @@ TEST(BenchCompareCli, HostDropRateRegressionFails) {
   auto fresh = healthy_host();
   fresh.host_drop_rate = 0.35;
   const std::string root =
-      make_case_dirs("host_drops", 1.0, 1.0, true, 1.0, healthy_host(), fresh);
+      make_case_dirs("host_drops", 1.0, 1.0, true, healthy_host(), fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 1);
 }
 
@@ -244,7 +235,7 @@ TEST(BenchCompareCli, HostFieldsAbsentFromBaselineSkipTheGates) {
   // only the bit-identity hard gate applies; throughput/drop are skipped.
   auto fresh = healthy_host();
   fresh.host_frames_per_s = 1.0;  // would fail the floor if gated
-  const std::string root = make_case_dirs("host_absent", 1.0, 1.0, true, 1.0, {}, fresh);
+  const std::string root = make_case_dirs("host_absent", 1.0, 1.0, true, {}, fresh);
   EXPECT_EQ(run_bench_compare(root + "/baseline " + root + "/fresh --tolerance 1.5"), 0);
 }
 

@@ -12,12 +12,6 @@
 //     baseline * tolerance (default 1.25 — wall clocks on shared CI
 //     machines are noisy; the gate is for real regressions, not jitter).
 //
-// When both reports carry a batched pass (batch_width > 0) the gate
-// additionally checks that the fresh batched run kept bit-identity with
-// the scalar reference and that its wall clock is no worse than
-// baseline * tolerance. Baselines written before the batched pass
-// existed simply lack the fields and gate the scalar numbers only.
-//
 // Reports carrying peak_rss_bytes additionally gate memory against
 // baseline * tolerance, and streaming-fleet reports
 // (fleet_participants > 0) gate fleet wall clock, thread-count
@@ -62,10 +56,6 @@ struct Report {
   double hardware_threads = 0.0;
   bool bit_identical = false;
   bool tracing_compiled = false;
-  // Batched-pass fields; absent in pre-batch baselines.
-  double batch_width = 0.0;
-  double batched_wall_s = 0.0;
-  bool batch_bit_identical = true;
   // Memory + streaming-fleet fields; absent in older baselines.
   double peak_rss_bytes = 0.0;
   double fleet_participants = 0.0;
@@ -115,11 +105,6 @@ std::optional<Report> load_report(const std::filesystem::path& path) {
   report.hardware_threads = *hw;
   report.bit_identical = *bit != 0.0;
   report.tracing_compiled = *tracing != 0.0;
-  // Optional batched-pass fields. find_number matches the exact quoted
-  // key, so "batch_bit_identical" cannot collide with "bit_identical".
-  report.batch_width = find_number(json, "batch_width").value_or(0.0);
-  report.batched_wall_s = find_number(json, "batched_wall_s").value_or(0.0);
-  report.batch_bit_identical = find_number(json, "batch_bit_identical").value_or(1.0) != 0.0;
   report.peak_rss_bytes = find_number(json, "peak_rss_bytes").value_or(0.0);
   report.fleet_participants = find_number(json, "fleet_participants").value_or(0.0);
   report.fleet_wall_s = find_number(json, "fleet_wall_s").value_or(0.0);
@@ -219,12 +204,6 @@ int main(int argc, char** argv) {
       ++failed;
       continue;
     }
-    if (fresh->batch_width > 0.0 && !fresh->batch_bit_identical) {
-      std::fprintf(stderr, "[fail] %s: batched results diverged from sequential\n",
-                   file.c_str());
-      ++failed;
-      continue;
-    }
     const double limit = baseline->sequential_wall_s * tolerance;
     if (fresh->sequential_wall_s > limit) {
       std::fprintf(stderr, "[fail] %s: sequential %.3fs exceeds baseline %.3fs x %.2f = %.3fs\n",
@@ -232,17 +211,6 @@ int main(int argc, char** argv) {
                    tolerance, limit);
       ++failed;
       continue;
-    }
-    if (baseline->batch_width > 0.0 && fresh->batch_width > 0.0) {
-      const double batch_limit = baseline->batched_wall_s * tolerance;
-      if (fresh->batched_wall_s > batch_limit) {
-        std::fprintf(stderr,
-                     "[fail] %s: batched %.3fs exceeds baseline %.3fs x %.2f = %.3fs\n",
-                     file.c_str(), fresh->batched_wall_s, baseline->batched_wall_s, tolerance,
-                     batch_limit);
-        ++failed;
-        continue;
-      }
     }
     // Streaming-fleet gates: bit-identity across thread counts and
     // across checkpoint/resume are hard failures; the fleet wall clock
