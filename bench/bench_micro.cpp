@@ -31,6 +31,7 @@
 #include "hw/scheduler.h"
 #include "sim/event_queue.h"
 #include "study/device_pool.h"
+#include "study/fleet_study.h"
 #include "study/sweep_runner.h"
 #include "util/alloc_guard.h"
 #include "util/crc.h"
@@ -263,6 +264,24 @@ void BM_SweepRunner(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kCells);
 }
 BENCHMARK(BM_SweepRunner)->Arg(1)->Arg(2)->Arg(8);
+
+/// One 256-participant run_fleet chunk on one thread — the unit the
+/// fleet benches repeat. Arg 0 = scalar run_trials body, Arg 1 =
+/// batched BatchTrialRunner body; their ratio is the batched engine's
+/// speed-up over the scalar one (ROADMAP item 2).
+void BM_FleetChunk(benchmark::State& state) {
+  study::FleetStudyConfig config;
+  config.participants = 256;
+  config.chunk = 256;
+  config.threads = 1;
+  config.batched = state.range(0) != 0;
+  for (auto _ : state) {
+    const auto result = study::run_fleet(config);
+    benchmark::DoNotOptimize(result.cursor);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(config.participants));
+}
+BENCHMARK(BM_FleetChunk)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// The tracer hot path: one record into the pre-allocated ring — what
 /// every instrumented firmware tick pays per event. Arg 1 = category

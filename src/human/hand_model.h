@@ -37,19 +37,35 @@ class Tremor {
     phase_ = rng_.uniform(0.0, 2.0 * 3.14159265358979);
   }
 
-  /// Tremor displacement at simulated time t.
+  /// Tremor displacement at simulated time t: advance(t), then value_at(t).
   [[nodiscard]] double displacement_cm(double t_seconds) {
-    // A slowly amplitude-modulated sinusoid is a decent band-limited
-    // surrogate; the modulation draw is keyed to the cycle count so
-    // repeated queries at the same time agree.
-    const double omega = 2.0 * 3.14159265358979 * config_.frequency_hz;
+    advance(t_seconds);
+    return value_at(t_seconds);
+  }
+
+  /// Step the amplitude modulation to time t. A slowly
+  /// amplitude-modulated sinusoid is a decent band-limited surrogate;
+  /// the modulation draw is keyed to the cycle count so repeated
+  /// queries at the same time agree. Only this half consumes the RNG,
+  /// so a caller that needs the displacement at a subset of its time
+  /// steps advances at every step and evaluates only where it must.
+  void advance(double t_seconds) {
     const auto cycle = static_cast<long>(t_seconds * config_.frequency_hz);
     if (cycle != last_cycle_) {
       last_cycle_ = cycle;
       amp_scale_ = 1.0 + rng_.gaussian(0.0, config_.amplitude_jitter);
     }
+  }
+
+  /// Displacement at time t under the current cycle's amplitude (the
+  /// last advance() must have been to t).
+  [[nodiscard]] double value_at(double t_seconds) const {
+    const double omega = 2.0 * 3.14159265358979 * config_.frequency_hz;
     return config_.amplitude_cm * amp_scale_ * std::sin(omega * t_seconds + phase_);
   }
+
+  /// The modulation stream (tests compare its engine state).
+  [[nodiscard]] const sim::Rng& rng() const { return rng_; }
 
  private:
   Config config_;

@@ -40,7 +40,6 @@ void BatchSessionKernel::init_lane(std::size_t lane,
                                    sim::Rng technique_rng) {
   Lane& L = lanes_[lane];
   L.config = config;
-  L.surface = sensors::SurfaceProfile{};  // the ranger's default-constructed surface
   L.sensor_rng = technique_rng.fork(1);   // the ranger's stream, as in the scalar ctor
   L.adc_rng = technique_rng;              // ADC noise draws from the technique RNG itself
   L.model.emplace(config.sensor, sim::Rng(0));  // ideal_output only; its RNG is never drawn
@@ -99,107 +98,59 @@ double BatchSessionKernel::target_width_u(std::size_t lane, std::size_t target) 
   return std::max(0.05, d_high - d_low);
 }
 
-void BatchSessionKernel::run_block(std::size_t lane, std::span<const double> now_s,
-                                   std::span<const double> u,
-                                   std::span<std::uint32_t> cursors_out) {
-  Lane& L = lanes_[lane];
-  const std::size_t n = now_s.size();
-
-  // --- schedule stage: firmware ticks and S&H remeasures are pure
-  // functions of the time grid, so the block's entire noise consumption
-  // is known before any numeric work — that is what lets one batched
-  // fill per stream replace the per-sample draws.
-  tick_at_.clear();
+void BatchSessionKernel::begin_block(std::size_t lane) {
+  block_ = {&lanes_[lane], false, 0};
   remeasured_.clear();
-  double next_tick = L.next_tick_s;
-  double next_meas = L.next_measurement_s;
-  bool ever = L.ever_measured;
-  const double tick_period = L.config.firmware_tick.value;
-  const double meas_period = L.config.sensor.measurement_period.value;
-  std::size_t remeasures = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (now_s[k] < next_tick) continue;
-    next_tick = now_s[k] + tick_period;
-    tick_at_.push_back(static_cast<std::uint32_t>(k));
-    std::uint8_t remeasure = 0;
-    if (!ever || now_s[k] >= next_meas) {
-      remeasure = 1;
-      ever = true;
-      // Align the next measurement to the sensor's own internal grid.
-      if (now_s[k] >= next_meas + meas_period) {
-        next_meas = now_s[k] + meas_period;  // resync after a long gap
-      } else {
-        next_meas += meas_period;
-      }
-      ++remeasures;
-    }
-    remeasured_.push_back(remeasure);
-  }
-  L.next_tick_s = next_tick;
-  L.next_measurement_s = next_meas;
-  L.ever_measured = ever;
+  tick_u_.clear();
+}
 
-  const std::size_t ticks = tick_at_.size();
+std::span<const std::uint32_t> BatchSessionKernel::end_block() {
+  Lane& L = *block_.lane;
+  const std::size_t ticks = tick_u_.size();
+  const std::size_t remeasures = block_.remeasures;
+  const std::size_t lead = block_.lead_in ? 1 : 0;
   sensor_noise_.resize(remeasures);
   adc_noise_.resize(ticks);
-  sampled_.resize(ticks);
+  cursors_.resize(lead + ticks);
 
   DS_HOT_BEGIN
   // --- noise stage: one fill per stream. fill_gaussian consumes the
   // engine identically to the per-sample gaussian() calls it replaces
-  // (spare cache included), so per-stream draw order is untouched. The
-  // specular-glitch path interleaves a bernoulli on the sensor stream,
-  // making its consumption data-dependent — that rare configuration
-  // falls back to scalar in-loop draws below.
-  const double glitch_p = L.surface.specular_glitch_probability;
-  if (glitch_p <= 0.0) {
-    L.sensor_rng.fill_gaussian({sensor_noise_.data(), remeasures}, 0.0,
-                               L.config.sensor.output_noise_volts);
-  }
+  // (spare cache included), so per-stream draw order is untouched.
+  L.sensor_rng.fill_gaussian({sensor_noise_.data(), remeasures}, 0.0,
+                             L.config.sensor.output_noise_volts);
   L.adc_rng.fill_gaussian({adc_noise_.data(), ticks}, 0.0, L.config.adc_noise_lsb);
 
-  // --- sensor + ADC stage: expression shapes mirror
-  // Gp2d120Model::remeasure and DistanceScroll::on_control exactly.
-  const double refl_shift = (L.surface.reflectivity - 1.0) * L.config.sensor.reflectivity_sensitivity;
+  // --- sensor + ADC, then LUT + FSM, per tick: expression shapes mirror
+  // Gp2d120Model::remeasure and DistanceScroll::on_control exactly. The
+  // FSM is sequential by nature (each sample's hysteresis depends on
+  // the previous selection).
+  const double refl_shift = (sensors::SurfaceProfile{}.reflectivity - 1.0) *
+                            L.config.sensor.reflectivity_sensitivity;
   const double vref = L.config.curve.params().vref;
+  const std::size_t last = L.level_size - 1;
   double held = L.held_volts;
+  std::size_t cursor = L.cursor;
+  if (lead != 0) cursors_[0] = static_cast<std::uint32_t>(cursor);
   std::size_t m = 0;
   for (std::size_t j = 0; j < ticks; ++j) {
     if (remeasured_[j]) {
-      const bool glitched = glitch_p > 0.0 && L.sensor_rng.bernoulli(glitch_p);
-      if (glitched) {
-        held = L.config.sensor.min_output_volts;
-      } else {
-        double v = L.model->ideal_output(util::Centimeters{u[tick_at_[j]]}).value *
-                   (1.0 + refl_shift);
-        v += glitch_p > 0.0 ? L.sensor_rng.gaussian(0.0, L.config.sensor.output_noise_volts)
-                            : sensor_noise_[m++];
-        held = std::clamp(v, 0.0, 3.3);
-      }
+      double v = L.model->ideal_output(util::Centimeters{tick_u_[j]}).value * (1.0 + refl_shift);
+      v += sensor_noise_[m++];
+      held = std::clamp(v, 0.0, 3.3);
     }
     double counts = held / vref * 1023.0;
     counts += adc_noise_[j];
     counts = std::clamp(counts, 0.0, 1023.0);
-    sampled_[j] = static_cast<std::uint16_t>(std::lround(counts));
+    const auto sampled = static_cast<std::uint16_t>(std::lround(counts));
+    const auto update = L.controller->on_sample(util::AdcCounts{sampled});
+    if (update.menu_index) cursor = std::min(*update.menu_index, last);
+    cursors_[lead + j] = static_cast<std::uint32_t>(cursor);
   }
   L.held_volts = held;
-
-  // --- LUT + FSM stage: sequential by nature (each sample's hysteresis
-  // depends on the previous selection), then the cursor is fanned back
-  // out over the dense sample axis for the planner's observer.
-  std::size_t cursor = L.cursor;
-  const std::size_t last = L.level_size - 1;
-  std::size_t j = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (j < ticks && tick_at_[j] == k) {
-      const auto update = L.controller->on_sample(util::AdcCounts{sampled_[j]});
-      if (update.menu_index) cursor = std::min(*update.menu_index, last);
-      ++j;
-    }
-    cursors_out[k] = static_cast<std::uint32_t>(cursor);
-  }
   L.cursor = cursor;
   DS_HOT_END
+  return cursors_;
 }
 
 }  // namespace distscroll::study

@@ -1,16 +1,16 @@
 // Batched DistScroll session kernel (ROADMAP item 2).
 //
-// Advances N device sessions — lanes — through the full sensing chain
-// in lockstep: distance samples through the Gp2d120 transfer curve with
-// gaussian noise, ADC quantisation with gaussian LSB noise, the
-// 1024-entry island LUT, and the scroll-controller FSM. State is laid
-// out SoA along the sample axis: run_block() takes a whole control
-// phase's (time, distance) arrays, derives the firmware-tick and
-// sample-and-hold schedules up front (both are pure functions of the
-// time grid), pre-draws every noise value the block will consume with
-// ONE batched RNG fill per stream, and then sweeps the numeric stages
-// array-at-a-time instead of re-entering the scalar virtual-call chain
-// per control step.
+// Advances N device sessions — lanes — through the full sensing chain:
+// distance samples through the Gp2d120 transfer curve with gaussian
+// noise, ADC quantisation with gaussian LSB noise, the 1024-entry island
+// LUT, and the scroll-controller FSM. A control phase runs as one block.
+// While the caller walks the phase's dense planner steps, the kernel
+// applies only the firmware-tick and sample-and-hold schedule (both pure
+// functions of the time grid) and the caller stages the hand position at
+// the ticks alone — the firmware never reads the other steps. Closing
+// the block pre-draws every noise value it will consume with ONE batched
+// RNG fill per stream, then sweeps the numeric stages over the staged
+// ticks instead of re-entering the scalar virtual-call chain per step.
 //
 // The scalar path (baselines::DistanceScroll driven sample-by-sample by
 // human::MotionPlanner) stays the reference implementation. The kernel
@@ -44,9 +44,15 @@
 #include "core/island_mapper.h"
 #include "core/scroll_controller.h"
 #include "sensors/gp2d120.h"
+#include "sensors/surface.h"
 #include "sim/random.h"
 
 namespace distscroll::study {
+
+// The kernel models the scalar ranger's default-constructed surface and
+// has no specular-glitch path: its sensor stream draws gaussians only.
+static_assert(sensors::SurfaceProfile{}.specular_glitch_probability == 0.0,
+              "BatchSessionKernel assumes the default surface never glitches");
 
 class BatchSessionKernel {
  public:
@@ -81,18 +87,57 @@ class BatchSessionKernel {
   [[nodiscard]] std::optional<double> target_u(std::size_t lane, std::size_t target) const;
   [[nodiscard]] double target_width_u(std::size_t lane, std::size_t target) const;
 
-  /// Advance one lane over a block of control samples: now_s/u are the
-  /// dense planner feed (one entry per dt step), cursors_out[k] receives
-  /// the lane's cursor AFTER sample k (what the planner's overshoot
-  /// observer reads). All three spans must have equal length.
-  /// Allocation-free once scratch is warm (DS_ASSERT_NO_ALLOC-pinned).
-  void run_block(std::size_t lane, std::span<const double> now_s, std::span<const double> u,
-                 std::span<std::uint32_t> cursors_out);
+  /// One control phase of one lane, fed step by step:
+  ///
+  ///   begin_block(lane);
+  ///   for each dense planner step, in time order:
+  ///     if (tick(now_s)) stage(u);   // hand position at now_s
+  ///   for (cursor : end_block()) observe(cursor);
+  ///
+  /// tick() applies DistanceScroll's firmware-tick test and the ranger's
+  /// sample-and-hold schedule, so the caller computes the hand position
+  /// only where the firmware reads it. end_block() runs noise,
+  /// sensor/ADC and LUT/FSM over the staged ticks and returns the
+  /// cursor sequence the dense steps observe with repeats dropped: the
+  /// cursor from before the block when steps precede the first tick
+  /// (nothing changes it until a tick), then the cursor after each
+  /// tick. Sign-change counts over it equal those over the dense
+  /// sequence. Allocation-free once scratch is warm
+  /// (DS_ASSERT_NO_ALLOC-pinned).
+  void begin_block(std::size_t lane);
+
+  [[nodiscard]] bool tick(double now_s) {
+    Lane& L = *block_.lane;
+    if (now_s < L.next_tick_s) {
+      block_.lead_in |= remeasured_.empty();
+      return false;
+    }
+    L.next_tick_s = now_s + L.config.firmware_tick.value;
+    std::uint8_t remeasure = 0;
+    if (!L.ever_measured || now_s >= L.next_measurement_s) {
+      remeasure = 1;
+      L.ever_measured = true;
+      // Align the next measurement to the sensor's own internal grid.
+      const double period = L.config.sensor.measurement_period.value;
+      if (now_s >= L.next_measurement_s + period) {
+        L.next_measurement_s = now_s + period;  // resync after a long gap
+      } else {
+        L.next_measurement_s += period;
+      }
+      ++block_.remeasures;
+    }
+    remeasured_.push_back(remeasure);
+    return true;
+  }
+
+  /// The hand position at the step tick() just accepted.
+  void stage(double u) { tick_u_.push_back(u); }
+
+  [[nodiscard]] std::span<const std::uint32_t> end_block();
 
  private:
   struct Lane {
     baselines::DistanceScroll::Config config;
-    sensors::SurfaceProfile surface;  // always the default, as in the scalar ctor
     sim::Rng adc_rng{0};              // the technique's own stream (ADC noise)
     sim::Rng sensor_rng{0};           // technique_rng.fork(1), as the ranger gets
     std::optional<sensors::Gp2d120Model> model;  // transfer curve only; draws no noise
@@ -125,13 +170,23 @@ class BatchSessionKernel {
   };
   std::vector<MapperEntry> mappers_;
 
-  // Block scratch, SoA along the sample axis; resized (allocation
-  // allowed) before the DS_HOT region, reused across blocks.
-  std::vector<std::uint32_t> tick_at_;     // sample index of each firmware tick
+  // The open block: its lane, whose tick and sample-and-hold clocks
+  // tick() advances in place, and what end_block() needs besides the
+  // staged ticks.
+  struct Block {
+    Lane* lane = nullptr;
+    bool lead_in = false;  // a step preceded the first tick
+    std::size_t remeasures = 0;
+  };
+  Block block_;
+
+  // Block scratch, SoA along the tick axis; grown outside the DS_HOT
+  // region, reused across blocks.
   std::vector<std::uint8_t> remeasured_;   // per tick: S&H remeasure fired
+  std::vector<double> tick_u_;             // per tick: staged hand position
   std::vector<double> sensor_noise_;       // per remeasure, pre-drawn
   std::vector<double> adc_noise_;          // per tick, pre-drawn
-  std::vector<std::uint16_t> sampled_;     // per tick: quantised ADC counts
+  std::vector<std::uint32_t> cursors_;     // end_block()'s observations
 };
 
 }  // namespace distscroll::study

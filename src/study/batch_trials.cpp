@@ -12,9 +12,9 @@ namespace distscroll::study {
 namespace {
 
 /// Counts sign changes of (cursor - target) — replica of the planner's
-/// file-local OvershootCounter, observing the same cursor sequence the
-/// scalar loop sees (kernel cursors_out is the cursor after each dt
-/// step).
+/// file-local OvershootCounter. It observes the kernel's block
+/// observations, which are the scalar loop's per-step cursor sequence
+/// with repeats dropped, so the count is the same.
 class OvershootCounter {
  public:
   explicit OvershootCounter(long target) : target_(target) {}
@@ -32,6 +32,13 @@ class OvershootCounter {
   int last_sign_ = 0;
   int count_ = 0;
 };
+
+/// Close the kernel's open block and count its cursor observations.
+void observe_block(BatchSessionKernel& kernel, OvershootCounter& overshoots) {
+  for (const std::uint32_t cursor : kernel.end_block()) {
+    overshoots.observe(static_cast<long>(cursor));
+  }
+}
 
 }  // namespace
 
@@ -103,11 +110,6 @@ TrialRecord BatchTrialRunner::run_one_trial(std::size_t lane, const Cell& cell,
   return record;
 }
 
-void BatchTrialRunner::run_staged_block(std::size_t lane) {
-  cursors_.resize(times_.size());
-  kernel_.run_block(lane, times_, us_, cursors_);
-}
-
 human::AcquisitionOutcome BatchTrialRunner::acquire_absolute(
     std::size_t lane, std::size_t target, const human::UserProfile& p, sim::Rng& rng,
     const human::MotionPlanner::Config& cfg) {
@@ -134,39 +136,35 @@ human::AcquisitionOutcome BatchTrialRunner::acquire_absolute(
     if (!first_move) ++outcome.corrective_movements;
     first_move = false;
 
-    // Reach: stage the dense control feed, then one kernel block. The
-    // time/value sequences are built with the scalar loop's exact FP
-    // accumulation (now += dt inside the same-shaped while).
+    // Reach: one fused pass over the dense steps with the scalar loop's
+    // exact FP accumulation (now += dt inside the same-shaped while).
+    // Every step advances the tremor's cycle draw, so its stream is
+    // consumed as before; the hand position is computed only at the
+    // firmware ticks, the only steps on_control does not discard.
     const double t0 = now;
     const double u0 = u;
-    times_.clear();
-    us_.clear();
+    kernel_.begin_block(lane);
     while (now < t0 + reach_time.value) {
-      const double reach_u = human::min_jerk(u0, aim, now - t0, reach_time.value);
-      times_.push_back(now);
-      us_.push_back(reach_u + tremor.displacement_cm(now));
+      tremor.advance(now);
+      if (kernel_.tick(now)) {
+        kernel_.stage(human::min_jerk(u0, aim, now - t0, reach_time.value) +
+                      tremor.value_at(now));
+      }
       now += cfg.dt_s;
     }
-    run_staged_block(lane);
-    for (const std::uint32_t cursor : cursors_) {
-      overshoots.observe(static_cast<long>(cursor));
-    }
+    observe_block(kernel_, overshoots);
     u = aim;
 
     // Settle & perceive: hold, then check after the reaction time.
     const double dwell = p.reaction_time_s + cfg.settle_dwell_s;
     const double s0 = now;
-    times_.clear();
-    us_.clear();
+    kernel_.begin_block(lane);
     while (now < s0 + dwell) {
-      times_.push_back(now);
-      us_.push_back(u + tremor.displacement_cm(now));
+      tremor.advance(now);
+      if (kernel_.tick(now)) kernel_.stage(u + tremor.value_at(now));
       now += cfg.dt_s;
     }
-    run_staged_block(lane);
-    for (const std::uint32_t cursor : cursors_) {
-      overshoots.observe(static_cast<long>(cursor));
-    }
+    observe_block(kernel_, overshoots);
 
     if (kernel_.cursor(lane) == target) {
       now += p.verification_time_s;
@@ -201,13 +199,12 @@ bool BatchTrialRunner::commit(std::size_t lane, std::size_t target, const human:
   // Holding the channel steady during the press, fed as one block.
   human::Tremor tremor(p.tremor, rng.fork(777));
   const double t0 = outcome.time_s;
-  times_.clear();
-  us_.clear();
+  kernel_.begin_block(lane);
   for (double dt = 0.0; dt < press_time; dt += cfg.dt_s) {
-    times_.push_back(t0 + dt);
-    us_.push_back(hold_u + tremor.displacement_cm(t0 + dt));
+    tremor.advance(t0 + dt);
+    if (kernel_.tick(t0 + dt)) kernel_.stage(hold_u + tremor.value_at(t0 + dt));
   }
-  run_staged_block(lane);
+  (void)kernel_.end_block();
   outcome.time_s += press_time;
   if (kernel_.cursor(lane) != target) {
     ++outcome.wrong_selections;

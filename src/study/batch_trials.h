@@ -9,9 +9,11 @@
 // A sweep group's cells become kernel lanes; run() advances all lanes
 // in lockstep at trial granularity (lane-major within each trial
 // round), with every control phase — reach, settle, commit press —
-// executed as one SoA block through the kernel instead of per-dt-step
-// virtual calls. The planner-side arithmetic (aim scatter, Fitts
-// timing, min-jerk reach, tremor, commit slips) mirrors
+// executed as one block through the kernel instead of per-dt-step
+// virtual calls: one pass over the phase's dense steps advances the
+// tremor and the firmware schedule, and the hand position is computed
+// only at the firmware ticks. The planner-side arithmetic (aim
+// scatter, Fitts timing, min-jerk reach, tremor, commit slips) mirrors
 // human::MotionPlanner::run_absolute / commit_selection expression by
 // expression, reusing the same human:: primitives, so the per-trial
 // draw streams and FP sequences are exactly the scalar ones.
@@ -82,15 +84,8 @@ class BatchTrialRunner {
   bool commit(std::size_t lane, std::size_t target, const human::UserProfile& p, sim::Rng& rng,
               const human::MotionPlanner::Config& cfg, double hold_u,
               human::AcquisitionOutcome& outcome);
-  /// Feed the staged times_/us_ arrays through the kernel into cursors_.
-  void run_staged_block(std::size_t lane);
-
   BatchSessionKernel kernel_;
   std::vector<Cell> cells_;
-  // Phase-block staging arrays (SoA along the sample axis), reused.
-  std::vector<double> times_;
-  std::vector<double> us_;
-  std::vector<std::uint32_t> cursors_;
 };
 
 }  // namespace distscroll::study

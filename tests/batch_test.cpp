@@ -17,6 +17,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/distance_scroll.h"
@@ -74,6 +75,8 @@ struct SweepCase {
   human::Glove glove = human::Glove::None;
   std::size_t menu = 10;
   TaskGenerator tasks = uniform_tasks;
+  /// > 0 overrides the profile's tremor amplitude.
+  double tremor_cm = 0.0;
 };
 
 std::vector<SweepCase> sweep_suite() {
@@ -117,7 +120,19 @@ std::vector<SweepCase> sweep_suite() {
   }
   // exp_fitts_law: banded targets at swept scroll distances.
   cases.push_back({"fitts-banded", {}, human::Glove::None, 40, fitts_banded_tasks});
+  // Thick glove with 1 cm tremor: holding still through a commit press
+  // often carries the cursor off the target (a wrong selection), so the
+  // next phase starts from a cursor none of its steps has observed yet.
+  cases.push_back({"failing-commits", {}, human::Glove::Thick, 20, uniform_tasks, 1.0});
   return cases;
+}
+
+human::UserProfile cell_profile(const SweepCase& c, std::size_t index) {
+  auto profile = human::UserProfile::average()
+                     .with_expertise(0.25 + 0.1 * static_cast<double>(index))
+                     .with_glove(c.glove);
+  if (c.tremor_cm > 0.0) profile.tremor.amplitude_cm = c.tremor_cm;
+  return profile;
 }
 
 /// Cell result carrying the full per-trial record bytes.
@@ -130,9 +145,7 @@ struct CellOut {
 /// The scalar reference cell body — the exact shape every bench runs.
 CellOut scalar_cell(const SweepCase& c, std::size_t index, sim::Rng rng) {
   baselines::DistanceScroll technique(c.config, rng.fork(1));
-  const auto profile = human::UserProfile::average()
-                           .with_expertise(0.25 + 0.1 * static_cast<double>(index))
-                           .with_glove(c.glove);
+  const auto profile = cell_profile(c, index);
   sim::Rng task_rng = rng.fork(2);
   const auto tasks = c.tasks(task_rng, c.menu, index);
   CellOut out;
@@ -150,9 +163,7 @@ std::vector<CellOut> batched_group(const SweepCase& c, std::size_t first, std::s
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t index = first + k;
     sim::Rng rng = runner.cell_rng(index);
-    const auto profile = human::UserProfile::average()
-                             .with_expertise(0.25 + 0.1 * static_cast<double>(index))
-                             .with_glove(c.glove);
+    const auto profile = cell_profile(c, index);
     sim::Rng task_rng = rng.fork(2);
     const auto tasks = c.tasks(task_rng, c.menu, index);
     batch.init_cell(k, c.config, rng.fork(1), tasks, profile, rng.fork(3));
@@ -191,6 +202,14 @@ std::vector<CellOut> run_batched(const SweepCase& c, std::size_t threads, std::u
 TEST(BatchKernel, BitIdenticalToScalarAcrossSweepSuiteSingleThread) {
   for (const auto& c : sweep_suite()) {
     const auto expected = run_scalar(c, 1, 0xBA7C4);
+    if (std::string_view{c.name} == "failing-commits") {
+      // The case only pins the moved-by-commit path if commits do fail.
+      int wrong_selections = 0;
+      for (const auto& cell : expected) {
+        for (const auto& record : cell.records) wrong_selections += record.outcome.wrong_selections;
+      }
+      EXPECT_GT(wrong_selections, 0) << c.name << " produced no wrong selection";
+    }
     const auto got = run_batched(c, 1, 0xBA7C4);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -243,9 +262,10 @@ TEST(BatchKernel, CsvBytesUnchangedByBatchedMode) {
   EXPECT_EQ(slurp(batched_path), scalar_bytes);
 }
 
-/// The kernel's hot block is allocation-free once its scratch is warm —
-/// the dynamic half of the DS_HOT_BEGIN/END markers around it.
-TEST(BatchKernel, RunBlockAllocationFreeWhenWarm) {
+/// A warmed kernel block — schedule steps, staging and end_block()'s
+/// DS_HOT stages — runs without touching the heap: the dynamic half of
+/// the DS_HOT_BEGIN/END markers.
+TEST(BatchKernel, BlockAllocationFreeWhenWarm) {
   if (!util::alloc_interposer_linked()) {
     GTEST_SKIP() << "alloc interposer not linked (sanitizer build)";
   }
@@ -254,23 +274,27 @@ TEST(BatchKernel, RunBlockAllocationFreeWhenWarm) {
   kernel.init_lane(0, {}, sim::Rng(1));
   kernel.init_lane(1, {}, sim::Rng(2));
 
-  std::vector<double> times(600), us(600);
-  std::vector<std::uint32_t> cursors(times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    times[i] = 0.004 * static_cast<double>(i);
-    us[i] = 8.0 + 0.02 * static_cast<double>(i);
-  }
+  std::size_t observations = 0;
+  const auto run_block = [&](std::size_t lane) {
+    kernel.begin_block(lane);
+    for (std::size_t i = 0; i < 600; ++i) {
+      if (kernel.tick(0.004 * static_cast<double>(i))) {
+        kernel.stage(8.0 + 0.02 * static_cast<double>(i));
+      }
+    }
+    observations = kernel.end_block().size();
+  };
   for (std::size_t lane = 0; lane < 2; ++lane) {
     kernel.reset_lane(lane, 10, 0);
-    kernel.run_block(lane, times, us, cursors);  // warm the scratch
+    run_block(lane);  // warm the scratch
   }
   for (std::size_t lane = 0; lane < 2; ++lane) {
     kernel.reset_lane(lane, 10, 0);
     DS_ASSERT_NO_ALLOC {
-      kernel.run_block(lane, times, us, cursors);
+      run_block(lane);
     }
   }
-  SUCCEED();
+  EXPECT_GT(observations, 0u);  // the block did sample
 }
 
 /// The batched trial driver inlines DistScroll's glove sensitivity (no

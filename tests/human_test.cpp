@@ -2,7 +2,10 @@
 // timing, profiles and the closed-loop planner on a synthetic technique.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 
 #include "baselines/scroll_technique.h"
 #include "human/fitts.h"
@@ -64,6 +67,36 @@ TEST(Tremor, OscillatesAtConfiguredBand) {
     prev = x;
   }
   EXPECT_NEAR(crossings, 36, 4);
+}
+
+// advance() + value_at() is displacement_cm() split in two: the same
+// bits on a dense grid, and evaluating only every 5th step (as the
+// batched trial loop does at firmware ticks) changes neither the values
+// there nor the modulation stream's consumption.
+TEST(Tremor, AdvanceThenValueAtMatchesDisplacement) {
+  Tremor::Config config;
+  config.amplitude_cm = 0.3;
+  config.amplitude_jitter = 0.4;
+  Tremor whole(config, sim::Rng(7));
+  Tremor split(config, sim::Rng(7));
+  Tremor sparse(config, sim::Rng(7));
+  std::size_t step = 0;
+  for (double t = 0.0; t < 3.0; t += 0.004, ++step) {
+    const double expected = whole.displacement_cm(t);
+    split.advance(t);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(split.value_at(t)),
+              std::bit_cast<std::uint64_t>(expected))
+        << "t=" << t;
+    sparse.advance(t);
+    if (step % 5 == 0) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sparse.value_at(t)),
+                std::bit_cast<std::uint64_t>(expected))
+          << "t=" << t;
+    }
+  }
+  EXPECT_TRUE(split.rng().engine_state() == whole.rng().engine_state());
+  EXPECT_TRUE(sparse.rng().engine_state() == whole.rng().engine_state());
+  EXPECT_EQ(sparse.rng().has_cached_spare(), whole.rng().has_cached_spare());
 }
 
 // --- hand model ---------------------------------------------------------------------
