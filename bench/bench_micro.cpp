@@ -348,7 +348,21 @@ void BM_Crc8(benchmark::State& state) {
     benchmark::DoNotOptimize(util::crc8(data));
   }
 }
-BENCHMARK(BM_Crc8)->Arg(11)->Arg(64);
+// Arg 5 is one ack frame's CRC span, 11 a state frame's.
+BENCHMARK(BM_Crc8)->Arg(5)->Arg(11)->Arg(64);
+
+/// CRC-32 over 1.5 MiB, about one host-ingest unit's DSTL container
+/// (2000 devices x 2 s at ~10 B/record).
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> data(std::size_t{3} << 19);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 131u);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Crc32);
 
 /// Cost of the AllocGuard interposer on the allocator itself: a
 /// new/delete pair with the counting operator new linked in (linking

@@ -1,8 +1,6 @@
 #include "host/sim_link.h"
 
 #include <cmath>
-#include <utility>
-#include <vector>
 
 namespace distscroll::host {
 
@@ -44,10 +42,9 @@ void SimDeviceLink::telemetry_tick() {
   // The seq this send will get, if accepted: next_seq_ and
   // frames_accepted_ both advance only on accepted sends, so they track.
   const auto seq = static_cast<std::uint8_t>(sender_.frames_accepted() & 0xFF);
-  std::vector<std::uint8_t> payload(wireless::StateReport::kPackedSize);
-  report.pack_into(
-      std::span<std::uint8_t, wireless::StateReport::kPackedSize>(payload.data(), payload.size()));
-  if (sender_.send(wireless::FrameType::State, std::move(payload))) {
+  std::array<std::uint8_t, wireless::StateReport::kPackedSize> payload{};
+  report.pack_into(payload);
+  if (sender_.send(wireless::FrameType::State, payload)) {
     seq_to_index_[seq] = index;
   } else {
     ++reports_shed_;  // ARQ queue full: device RAM budget says drop new
@@ -113,15 +110,19 @@ void SimDeviceLink::queue_ack(std::uint8_t seq) {
     ++acks_lost_;
     return;
   }
-  std::array<std::uint8_t, 5> buf{};
-  const std::size_t n = wireless::encode_into(wireless::FrameType::Ack, seq, {}, buf);
-  ack_buffer_.insert(ack_buffer_.end(), buf.begin(), buf.begin() + static_cast<long>(n));
+  wireless::encode_into(wireless::FrameType::Ack, seq, {}, acks_.emplace_back());
 }
 
 void SimDeviceLink::step_window(double end_s) {
   // Acks the consumer queued during the last drain reach the device now.
-  for (const std::uint8_t byte : ack_buffer_) sender_.on_ack_byte(byte);
-  ack_buffer_.clear();
+  // The reverse channel loses whole acks but never corrupts or splits
+  // one, so each image is validated as one delimited frame (CRC
+  // included) rather than re-scanned byte by byte.
+  for (const AckImage& image : acks_) {
+    const auto ack = wireless::parse_wire_frame(image);
+    if (ack && ack->type == wireless::FrameType::Ack) sender_.on_ack(ack->seq);
+  }
+  acks_.clear();
   // The lane was just drained: frames stalled on backpressure retry.
   sender_.notify_tx_space();
   events_.run_until(util::Seconds{end_s});

@@ -116,8 +116,10 @@ class SimDeviceLink {
   sim::Rng channel_rng_;
   sim::Rng ack_rng_;
 
+  using AckImage = std::array<std::uint8_t, 5>;  // SYNC LEN TYPE SEQ CRC, no payload
+
   std::array<std::uint64_t, 256> seq_to_index_{};
-  std::vector<std::uint8_t> ack_buffer_;  // encoded ack frames awaiting the device
+  std::vector<AckImage> acks_;  // encoded ack frames awaiting the device
 
   RawRecord held_{};      // reorder: one frame delayed behind its successor
   bool held_valid_ = false;

@@ -9,8 +9,7 @@
 // slot table holding the callbacks — so steady-state scheduling does no
 // per-event node allocation (unlike the std::map calendar this replaced).
 // cancel() is O(1): it bumps the slot's generation and the stale heap
-// entry is discarded lazily when it reaches the top (the same
-// epoch-tagged trick the wireless/arq retransmit timers use).
+// entry is discarded lazily when it reaches the top.
 #pragma once
 
 #include <algorithm>

@@ -1,5 +1,10 @@
-// CRC-8 (Dallas/Maxim) and CRC-16-CCITT used by the wireless framing
-// between the DistScroll prototype and the logging PC.
+// Table-driven CRCs: CRC-8 guards the wireless frames between the
+// DistScroll prototype and the logging PC and the calibration EEPROM
+// record; CRC-32 guards fleet checkpoints and DSTL containers.
+//
+// Both are byte-at-a-time lookups over 256-entry tables built at compile
+// time from the polynomials below. tests/util_test.cpp pins them against
+// the bitwise reference loops.
 #pragma once
 
 #include <cstdint>
@@ -7,14 +12,13 @@
 
 namespace distscroll::util {
 
-/// CRC-8 with polynomial 0x31 (Dallas/Maxim), init 0x00.
+/// CRC-8, non-reflected: poly 0x31, init 0x00, no final xor, MSB first.
+/// Check value ("123456789") 0xA2. (Not the reflected Dallas/Maxim
+/// variant, whose check value is 0xA1.)
 [[nodiscard]] std::uint8_t crc8(std::span<const std::uint8_t> data);
 
-/// CRC-16-CCITT (poly 0x1021), init 0xFFFF.
-[[nodiscard]] std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data);
-
 /// CRC-32 (IEEE 802.3, reflected poly 0xEDB88320, init/xorout
-/// 0xFFFFFFFF) — integrity check of fleet checkpoint files.
+/// 0xFFFFFFFF). Check value ("123456789") 0xCBF43926.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 }  // namespace distscroll::util

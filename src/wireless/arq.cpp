@@ -6,19 +6,17 @@ namespace distscroll::wireless {
 
 // --- sender -----------------------------------------------------------------
 
-bool ArqSender::send(FrameType type, std::vector<std::uint8_t> payload) {
+bool ArqSender::send(FrameType type, std::span<const std::uint8_t> payload) {
+  if (payload.size() > kMaxPayload) return false;
   if (queue_.size() >= config_.queue_capacity) {
     ++drops_queue_full_;
     return false;
   }
-  Pending pending;
-  pending.frame.type = type;
-  pending.frame.seq = next_seq_++;
-  pending.frame.payload = std::move(payload);
-  pending.wire = encode(pending.frame);
+  Pending& pending = queue_.emplace_back();
+  pending.seq = next_seq_++;
+  pending.len = static_cast<std::uint8_t>(encode_into(type, pending.seq, payload, pending.wire));
   pending.enqueued_at_s = events_->now().value;
   pending.timeout_s = config_.initial_timeout.value;
-  queue_.push_back(std::move(pending));
   ++frames_accepted_;
   pump();
   return true;
@@ -30,17 +28,18 @@ void ArqSender::pump() {
   for (std::size_t i = 0; i < active; ++i) {
     Pending& pending = queue_[i];
     if (!pending.needs_tx) continue;
-    if (!wire_sink_(pending.wire)) return;  // transport full; wait for tx space
+    // Transport full: wait for tx space.
+    if (!wire_sink_({pending.wire.data(), pending.len})) return;
     pending.needs_tx = false;
     ++pending.attempts;
     ++transmissions_;
     if (pending.attempts > 1) {
       ++retransmissions_;
-      DS_TRACE(tracer_, obs::EventKind::ArqRetry, pending.frame.seq,
+      DS_TRACE(tracer_, obs::EventKind::ArqRetry, pending.seq,
                static_cast<std::uint32_t>(pending.attempts));
     } else {
-      DS_TRACE(tracer_, obs::EventKind::ArqTx, pending.frame.seq,
-               static_cast<std::uint32_t>(pending.wire.size()));
+      DS_TRACE(tracer_, obs::EventKind::ArqTx, pending.seq,
+               static_cast<std::uint32_t>(pending.len));
     }
     arm_timer(pending);
   }
@@ -48,17 +47,21 @@ void ArqSender::pump() {
 
 void ArqSender::arm_timer(Pending& pending) {
   pending.epoch = next_epoch_++;
-  const std::uint8_t seq = pending.frame.seq;
-  const std::uint64_t epoch = pending.epoch;
-  events_->schedule_after(util::Seconds{pending.timeout_s},
-                         [this, seq, epoch] { on_timeout(seq, epoch); });
+  // Packed into one word so the capture fits std::function's small
+  // buffer: arming a timer does not allocate.
+  const std::uint64_t key = pending.epoch << 8 | pending.seq;
+  pending.timer = events_->schedule_after(util::Seconds{pending.timeout_s},
+                                          [this, key] { on_timeout(key); });
 }
 
-void ArqSender::on_timeout(std::uint8_t seq, std::uint64_t epoch) {
+void ArqSender::on_timeout(std::uint64_t key) {
+  const auto seq = static_cast<std::uint8_t>(key & 0xFF);
+  const std::uint64_t epoch = key >> 8;
   const auto it = std::find_if(queue_.begin(), queue_.end(), [&](const Pending& p) {
-    return p.frame.seq == seq && p.epoch == epoch;
+    return p.seq == seq && p.epoch == epoch;
   });
-  if (it == queue_.end()) return;  // acked (or already dropped): stale timer
+  if (it == queue_.end()) return;  // stale timer
+  it->timer = sim::EventQueue::kInvalidHandle;
   if (it->attempts >= config_.max_attempts) {
     ++drops_retry_exhausted_;
     DS_TRACE(tracer_, obs::EventKind::ArqDrop, seq,
@@ -74,13 +77,13 @@ void ArqSender::on_timeout(std::uint8_t seq, std::uint64_t epoch) {
 
 void ArqSender::on_ack_byte(std::uint8_t byte) {
   for (auto frame = ack_decoder_.feed(byte); frame; frame = ack_decoder_.poll()) {
-    if (frame->type == FrameType::Ack) handle_ack(frame->seq);
+    if (frame->type == FrameType::Ack) on_ack(frame->seq);
   }
 }
 
-void ArqSender::handle_ack(std::uint8_t seq) {
-  const auto it = std::find_if(queue_.begin(), queue_.end(),
-                               [&](const Pending& p) { return p.frame.seq == seq; });
+void ArqSender::on_ack(std::uint8_t seq) {
+  const auto it =
+      std::find_if(queue_.begin(), queue_.end(), [&](const Pending& p) { return p.seq == seq; });
   if (it == queue_.end()) {
     ++duplicate_acks_;
     return;
@@ -89,13 +92,14 @@ void ArqSender::handle_ack(std::uint8_t seq) {
   if (ack_callback_) {
     ack_callback_(seq, events_->now().value - it->enqueued_at_s, it->attempts);
   }
+  events_->cancel(it->timer);  // no-op when no timer is armed
   queue_.erase(it);
   pump();  // the window slid: queued frames may now transmit
 }
 
 std::optional<double> ArqSender::enqueue_time_s(std::uint8_t seq) const {
-  const auto it = std::find_if(queue_.begin(), queue_.end(),
-                               [&](const Pending& p) { return p.frame.seq == seq; });
+  const auto it =
+      std::find_if(queue_.begin(), queue_.end(), [&](const Pending& p) { return p.seq == seq; });
   if (it == queue_.end()) return std::nullopt;
   return it->enqueued_at_s;
 }

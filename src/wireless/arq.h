@@ -22,10 +22,15 @@
 //
 // Acks ride the same framing (FrameType::Ack, seq = acked sequence, no
 // payload) over whatever reverse channel the caller wires up.
+//
+// Steady state is allocation-free: each pending frame holds its fixed
+// wire image, the retransmit queue grows only to its working depth, and
+// a timer's capture (this + packed epoch/seq key) fits std::function's
+// small buffer. An ack cancels its frame's timer.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
@@ -53,6 +58,7 @@ class ArqSender {
   /// Pushes one encoded wire frame at the transport; must be
   /// all-or-nothing and return false when the transport has no room
   /// (UART TX FIFO full). The sender then waits for notify_tx_space().
+  /// Must not call back into this sender.
   using WireSink = std::function<bool(std::span<const std::uint8_t>)>;
   /// Invoked when a frame is acked: (seq, delivery latency from first
   /// enqueue to ack, transmissions used).
@@ -71,11 +77,18 @@ class ArqSender {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Queue a frame for reliable delivery. Returns false (and counts the
-  /// drop) when the bounded queue is full.
-  bool send(FrameType type, std::vector<std::uint8_t> payload);
+  /// drop) when the bounded queue is full, and false without queuing a
+  /// payload over kMaxPayload. The payload is copied into the frame's
+  /// wire image.
+  bool send(FrameType type, std::span<const std::uint8_t> payload);
 
   /// Feed reverse-channel bytes (the host's ack stream).
   void on_ack_byte(std::uint8_t byte);
+
+  /// One already-validated ack for `seq`, for reverse channels that
+  /// deliver whole frames (the host ingest link checks each ack image
+  /// with parse_wire_frame). Same effect as its bytes via on_ack_byte().
+  void on_ack(std::uint8_t seq);
 
   /// UART backpressure hook: the TX FIFO freed a byte, try flushing.
   void notify_tx_space() { pump(); }
@@ -103,19 +116,20 @@ class ArqSender {
 
  private:
   struct Pending {
-    Frame frame;
-    std::vector<std::uint8_t> wire;  // encoded once, retransmitted verbatim
+    std::array<std::uint8_t, kMaxEncodedFrame> wire{};  // encoded once, retransmitted verbatim
+    std::uint8_t seq = 0;
+    std::uint8_t len = 0;    // bytes of `wire` in use
     double enqueued_at_s = 0.0;
     double timeout_s = 0.0;  // current backoff value
     int attempts = 0;        // transmissions so far
     bool needs_tx = true;    // not yet (re)transmitted
     std::uint64_t epoch = 0; // stale-timer guard
+    sim::EventQueue::Handle timer = sim::EventQueue::kInvalidHandle;  // armed retransmit timer
   };
 
   void pump();
   void arm_timer(Pending& pending);
-  void on_timeout(std::uint8_t seq, std::uint64_t epoch);
-  void handle_ack(std::uint8_t seq);
+  void on_timeout(std::uint64_t key);  // key = epoch << 8 | seq
 
   ArqConfig config_;
   sim::EventQueue* events_;
@@ -124,7 +138,10 @@ class ArqSender {
   AckCallback ack_callback_;
   DropCallback drop_callback_;
   FrameDecoder ack_decoder_;
-  std::deque<Pending> queue_;  // seq order; first `window` entries are active
+  // Seq order; first `window` entries are active. Not reserved up front:
+  // it grows to the working depth, which under normal load is far below
+  // queue_capacity.
+  std::vector<Pending> queue_;
   std::uint8_t next_seq_ = 0;
   std::uint64_t next_epoch_ = 1;
   std::uint64_t frames_accepted_ = 0;

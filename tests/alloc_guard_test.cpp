@@ -3,22 +3,27 @@
 // process (file:line) if the wrapped scope allocates. These tests pin
 // the allocation-free claims the session kernel makes on its hot paths:
 // Tracer::record past ring capacity, EventQueue schedule/dispatch at
-// recycled depth, the device firmware sample loop, and warm pooled
-// session reuse.
+// recycled depth, the device firmware sample loop, warm pooled session
+// reuse, and a warm host-ingest device link.
 //
 // The interposer is compiled out under sanitizer builds (they own the
 // allocator), so every assertion skips when it is not linked in.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "core/distscroll_device.h"
+#include "host/ingest_queue.h"
+#include "host/sim_link.h"
 #include "menu/menu_builder.h"
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "study/device_pool.h"
 #include "util/alloc_guard.h"
+#include "wireless/arq.h"
+#include "wireless/packet.h"
 
 namespace distscroll {
 namespace {
@@ -133,6 +138,48 @@ TEST(AllocGuard, PooledSessionReuseIsAllocationFreeWhenWarm) {
   ASSERT_NE(recycled, nullptr);
   run_once(*recycled);  // and the recycled device still works
   EXPECT_LT(recycled->cursor().index(), 5u);
+}
+
+TEST(AllocGuard, WarmDeviceLinkIsAllocationFree) {
+  SKIP_WITHOUT_INTERPOSER();
+  // Every fault on, so the warm loop covers loss, CRC rejection, the
+  // reorder hold, lost acks and the retransmits they cause.
+  host::LinkFaultConfig faults;
+  faults.frame_loss = 0.05;
+  faults.bit_flip = 0.05;
+  faults.reorder = 0.05;
+  faults.ack_loss = 0.05;
+  constexpr double kWindowS = 0.02;
+  host::IngestQueue queue(/*lanes=*/1, /*lane_capacity=*/64);
+  host::SimDeviceLink link(/*device_id=*/0, /*lane=*/0, queue,
+                           wireless::ArqConfig{.initial_timeout = util::Seconds{0.12}}, faults,
+                           /*report_period_s=*/1.0 / 38.0, /*duration_s=*/1e6, sim::Rng(31));
+  std::array<host::RawRecord, 16> drained{};
+  std::size_t windows = 0;
+  // One produce/drain window as run_host_ingest does it: step the link,
+  // pop its lane, validate each frame, ack what passes.
+  auto run_windows = [&](std::size_t count) {
+    for (const std::size_t end = windows + count; windows < end; ++windows) {
+      link.step_window(kWindowS * static_cast<double>(windows + 1));
+      for (std::size_t n = 0; (n = queue.pop_batch(0, drained)) > 0;) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto frame = wireless::parse_wire_frame({drained[i].wire.data(), drained[i].len});
+          if (frame) link.queue_ack(frame->seq);
+        }
+      }
+    }
+  };
+  // Warm-up: long enough for every buffer to reach its working depth (on
+  // this seed the retransmit queue sees its deepest burst near window 600).
+  run_windows(1000);
+  DS_ASSERT_NO_ALLOC {
+    run_windows(4000);
+  }
+  EXPECT_GT(link.frames_lost(), 0u);
+  EXPECT_GT(link.frames_corrupted(), 0u);
+  EXPECT_GT(link.frames_reordered(), 0u);
+  EXPECT_GT(link.acks_lost(), 0u);
+  EXPECT_GT(link.sender().retransmissions(), 0u);
 }
 
 }  // namespace

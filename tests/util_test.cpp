@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <span>
+#include <vector>
 
+#include "sim/random.h"
 #include "util/ascii_plot.h"
 #include "util/crc.h"
 #include "util/csv.h"
@@ -131,22 +134,62 @@ TEST(Crc, Crc8KnownProperties) {
   EXPECT_EQ(crc8(data), c);
 }
 
-TEST(Crc, Crc16DetectsSingleBitFlips) {
-  std::uint8_t data[] = {0xDE, 0xAD, 0xBE, 0xEF, 0x42};
-  const std::uint16_t base = crc16_ccitt(data);
-  for (std::size_t byte = 0; byte < sizeof(data); ++byte) {
+// Bitwise reference forms: the table-driven crc8/crc32 must match these
+// on every input.
+std::uint8_t crc8_bitwise(std::span<const std::uint8_t> data) {
+  std::uint8_t crc = 0x00;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
     for (int bit = 0; bit < 8; ++bit) {
-      data[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      EXPECT_NE(crc16_ccitt(data), base) << "missed flip at " << byte << ":" << bit;
-      data[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      crc = static_cast<std::uint8_t>((crc & 0x80u) ? (crc << 1) ^ 0x31u : crc << 1);
     }
+  }
+  return crc;
+}
+
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(sim::Rng& rng, std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  return bytes;
+}
+
+TEST(Crc, CheckValues) {
+  const std::uint8_t msg[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(crc8(msg), 0xA2);
+  EXPECT_EQ(crc32(msg), 0xCBF43926u);
+  EXPECT_EQ(crc8_bitwise(msg), 0xA2);
+  EXPECT_EQ(crc32_bitwise(msg), 0xCBF43926u);
+}
+
+TEST(Crc, TablesMatchBitwiseOnEverySingleByte) {
+  for (unsigned v = 0; v < 256; ++v) {
+    const std::uint8_t byte[] = {static_cast<std::uint8_t>(v)};
+    EXPECT_EQ(crc8(byte), crc8_bitwise(byte)) << "byte " << v;
+    EXPECT_EQ(crc32(byte), crc32_bitwise(byte)) << "byte " << v;
   }
 }
 
-TEST(Crc, Crc16CcittKnownVector) {
-  // "123456789" -> 0x29B1 for CRC-16/CCITT-FALSE.
-  const std::uint8_t msg[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(crc16_ccitt(msg), 0x29B1);
+TEST(Crc, TablesMatchBitwiseOnRandomBuffers) {
+  sim::Rng rng(0xC0C0);
+  for (std::size_t len = 0; len <= 64; ++len) {
+    for (int rep = 0; rep < 8; ++rep) {
+      const auto bytes = random_bytes(rng, len);
+      EXPECT_EQ(crc8(bytes), crc8_bitwise(bytes)) << "len " << len;
+      EXPECT_EQ(crc32(bytes), crc32_bitwise(bytes)) << "len " << len;
+    }
+  }
+  const auto mib = random_bytes(rng, std::size_t{1} << 20);
+  EXPECT_EQ(crc8(mib), crc8_bitwise(mib));
+  EXPECT_EQ(crc32(mib), crc32_bitwise(mib));
 }
 
 // --- stats -------------------------------------------------------------------

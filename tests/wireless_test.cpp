@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "hw/uart.h"
@@ -498,6 +499,9 @@ TEST_F(LinkFixture, StopHaltsPumping) {
 
 // --- ARQ --------------------------------------------------------------------
 
+// One-byte payload for ArqSender::send.
+std::array<std::uint8_t, 1> one_byte(int value) { return {static_cast<std::uint8_t>(value)}; }
+
 // Deterministic harness: the "ether" is a scriptable delay line. The
 // forward predicate decides per transmission whether the frame reaches
 // the receiver; the ack predicate likewise for the reverse channel.
@@ -540,7 +544,7 @@ TEST_F(ArqFixture, CleanChannelDeliversEverythingOnceWithoutRetransmits) {
   receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
   wire(sender, receiver);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(sender.send(FrameType::State, {static_cast<std::uint8_t>(i)}));
+    EXPECT_TRUE(sender.send(FrameType::State, one_byte(i)));
   }
   queue.run_until(util::Seconds{2.0});
   ASSERT_EQ(delivered.size(), 20u);
@@ -558,7 +562,7 @@ TEST_F(ArqFixture, LostFrameIsRetransmittedAfterTimeout) {
   std::vector<std::uint8_t> delivered;
   receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
   wire(sender, receiver);
-  sender.send(FrameType::State, {42});
+  sender.send(FrameType::State, one_byte(42));
   queue.run_until(util::Seconds{1.0});
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(sender.retransmissions(), 1u);
@@ -573,7 +577,7 @@ TEST_F(ArqFixture, LostAckTriggersRetransmitAndDuplicateDiscard) {
   std::vector<std::uint8_t> delivered;
   receiver.set_frame_sink([&](const Frame& f) { delivered.push_back(f.seq); });
   wire(sender, receiver);
-  sender.send(FrameType::State, {7});
+  sender.send(FrameType::State, one_byte(7));
   queue.run_until(util::Seconds{1.0});
   // Delivered exactly once despite the retransmission.
   ASSERT_EQ(delivered.size(), 1u);
@@ -591,7 +595,7 @@ TEST_F(ArqFixture, RetryExhaustionDropsTheFrameAndFreesTheWindow) {
   std::vector<std::uint8_t> dropped;
   sender.set_drop_callback([&](std::uint8_t seq) { dropped.push_back(seq); });
   wire(sender, receiver);
-  sender.send(FrameType::State, {1});
+  sender.send(FrameType::State, one_byte(1));
   queue.run_until(util::Seconds{5.0});
   EXPECT_EQ(sender.transmissions(), 3u);
   EXPECT_EQ(sender.drops_retry_exhausted(), 1u);
@@ -630,7 +634,7 @@ TEST_F(ArqFixture, BoundedQueueShedsOverloadAndWindowLimitsInFlight) {
   wire(sender, receiver);
   int accepted = 0;
   for (int i = 0; i < 10; ++i) {
-    if (sender.send(FrameType::State, {static_cast<std::uint8_t>(i)})) ++accepted;
+    if (sender.send(FrameType::State, one_byte(i))) ++accepted;
   }
   EXPECT_EQ(accepted, 4);
   EXPECT_EQ(sender.drops_queue_full(), 6u);
@@ -662,7 +666,7 @@ TEST_F(ArqFixture, TransportBackpressureDefersUntilSpace) {
     });
     return true;
   });
-  sender.send(FrameType::State, {5});
+  sender.send(FrameType::State, one_byte(5));
   queue.run_until(util::Seconds{0.005});
   EXPECT_EQ(sender.transmissions(), 0u);  // blocked on backpressure
   fifo_full = false;
@@ -670,6 +674,69 @@ TEST_F(ArqFixture, TransportBackpressureDefersUntilSpace) {
   queue.run_until(util::Seconds{0.100});
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(sender.transmissions(), 1u);
+}
+
+// Delimited acks (on_ack) and the byte stream (on_ack_byte) are two
+// entries to one ack handler: the same acks, duplicates and unknown
+// seqs included, leave the same counters.
+TEST(Arq, OnAckMatchesTheAckByteStream) {
+  ArqConfig config;
+  config.window = 4;
+  sim::EventQueue byte_queue;
+  sim::EventQueue seq_queue;
+  ArqSender by_byte(config, byte_queue);
+  ArqSender by_seq(config, seq_queue);
+  for (ArqSender* sender : {&by_byte, &by_seq}) {
+    sender->set_wire_sink([](std::span<const std::uint8_t>) { return true; });
+    for (int i = 0; i < 12; ++i) ASSERT_TRUE(sender->send(FrameType::State, one_byte(i)));
+  }
+  const std::uint8_t acks[] = {0, 1, 1, 5, 9, 200, 2, 3, 0, 7};
+  for (const std::uint8_t seq : acks) {
+    std::array<std::uint8_t, 5> image{};
+    ASSERT_EQ(encode_into(FrameType::Ack, seq, {}, image), image.size());
+    for (const std::uint8_t b : image) by_byte.on_ack_byte(b);
+    by_seq.on_ack(seq);
+  }
+  EXPECT_EQ(by_seq.acks_received(), 7u);
+  EXPECT_EQ(by_seq.duplicate_acks(), 3u);
+  EXPECT_EQ(by_seq.queued(), 5u);
+  EXPECT_EQ(by_byte.acks_received(), by_seq.acks_received());
+  EXPECT_EQ(by_byte.duplicate_acks(), by_seq.duplicate_acks());
+  EXPECT_EQ(by_byte.queued(), by_seq.queued());
+  EXPECT_EQ(by_byte.transmissions(), by_seq.transmissions());
+}
+
+TEST(Arq, OversizePayloadIsRejectedWithoutUsingASeq) {
+  sim::EventQueue queue;
+  ArqSender sender(ArqConfig{}, queue);
+  const std::array<std::uint8_t, kMaxPayload + 1> oversize{};
+  EXPECT_FALSE(sender.send(FrameType::Debug, oversize));
+  EXPECT_EQ(sender.queued(), 0u);
+  EXPECT_EQ(sender.frames_accepted(), 0u);
+  EXPECT_EQ(sender.drops_queue_full(), 0u);
+  const std::array<std::uint8_t, kMaxPayload> largest{};
+  EXPECT_TRUE(sender.send(FrameType::Debug, largest));
+  EXPECT_EQ(sender.enqueue_time_s(0), 0.0);  // the accepted frame got seq 0
+}
+
+// An ack cancels its frame's retransmit timer: once every frame is
+// acked, no stale timer is left in the sender's event queue.
+TEST(Arq, AckCancelsTheRetransmitTimer) {
+  sim::EventQueue queue;
+  ArqSender sender(ArqConfig{}, queue);
+  std::vector<std::uint8_t> sent;  // seq of every transmission, in order
+  sender.set_wire_sink([&](std::span<const std::uint8_t> wire_bytes) {
+    sent.push_back(wire_bytes[3]);
+    return true;
+  });
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(sender.send(FrameType::State, one_byte(i)));
+  EXPECT_FALSE(queue.empty());
+  // Each ack slides the window, which transmits (and appends) more.
+  for (std::size_t k = 0; k < sent.size(); ++k) sender.on_ack(sent[k]);
+  EXPECT_EQ(sent.size(), 20u);
+  EXPECT_EQ(sender.acks_received(), 20u);
+  EXPECT_EQ(sender.queued(), 0u);
+  EXPECT_TRUE(queue.empty());
 }
 
 // Full stack: ARQ over the real UART + lossy RfLink in both directions.
@@ -703,7 +770,7 @@ TEST_F(LinkFixture, ArqOverLossyLinkDeliversEverythingExactlyOnce) {
 
   constexpr int kFrames = 120;
   for (int i = 0; i < kFrames; ++i) {
-    sender.send(FrameType::State, {static_cast<std::uint8_t>(i)});
+    sender.send(FrameType::State, one_byte(i));
     queue.run_until(util::Seconds{queue.now().value + 0.02});
   }
   queue.run_until(util::Seconds{queue.now().value + 3.0});
