@@ -14,7 +14,13 @@
 #include <filesystem>
 
 #include <cmath>
+#include <memory>
 
+#include "baselines/button_scroll.h"
+#include "baselines/distance_scroll.h"
+#include "baselines/radial_scroll.h"
+#include "baselines/tilt_scroll.h"
+#include "baselines/wheel_scroll.h"
 #include "core/distscroll_device.h"
 #include "core/island_mapper.h"
 #include "core/scroll_controller.h"
@@ -33,6 +39,8 @@
 #include "study/device_pool.h"
 #include "study/fleet_study.h"
 #include "study/sweep_runner.h"
+#include "study/task.h"
+#include "study/trial.h"
 #include "util/alloc_guard.h"
 #include "util/crc.h"
 #include "wireless/packet.h"
@@ -264,6 +272,45 @@ void BM_SweepRunner(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kCells);
 }
 BENCHMARK(BM_SweepRunner)->Arg(1)->Arg(2)->Arg(8);
+
+/// One exp_scroll_comparison cell on one thread: build the technique,
+/// draw 30 tasks on a 20-entry menu and run them through the scalar
+/// run_trials/MotionPlanner path for a bare-handed average participant.
+/// Arg = technique index (0 DistScroll, 1 TiltScroll, 2 YoYoWheel,
+/// 3 ButtonScroll, 4 RadialScroll), the order of the sweep's technique
+/// axis. Every iteration replays the same seed, so the work is fixed.
+void BM_TechniqueCell(benchmark::State& state) {
+  const auto technique_index = static_cast<std::size_t>(state.range(0));
+  const auto profile = human::UserProfile::average();
+  const sim::Rng rng(0xCE11);
+  for (auto _ : state) {
+    std::unique_ptr<baselines::ScrollTechnique> technique;
+    switch (technique_index) {
+      case 0: {
+        baselines::DistanceScroll::Config config;
+        config.scroll.smoothing = core::Smoothing::Raw;
+        technique = std::make_unique<baselines::DistanceScroll>(config, rng.fork(1));
+        break;
+      }
+      case 1:
+        technique = std::make_unique<baselines::TiltScroll>(baselines::TiltScroll::Config{},
+                                                            rng.fork(1));
+        break;
+      case 2:
+        technique = std::make_unique<baselines::WheelScroll>(baselines::WheelScroll::Config{},
+                                                             rng.fork(1));
+        break;
+      case 3: technique = std::make_unique<baselines::ButtonScroll>(); break;
+      default: technique = std::make_unique<baselines::RadialScroll>(); break;
+    }
+    sim::Rng task_rng = rng.fork(2);
+    const auto tasks = study::random_tasks(task_rng, 20, 30);
+    const auto records = study::run_trials(*technique, tasks, profile, rng.fork(3));
+    benchmark::DoNotOptimize(records.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 30);
+}
+BENCHMARK(BM_TechniqueCell)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
 
 /// One 256-participant run_fleet chunk on one thread — the unit the
 /// fleet benches repeat. Arg 0 = scalar run_trials body, Arg 1 =

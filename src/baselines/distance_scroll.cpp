@@ -40,9 +40,7 @@ void DistanceScroll::reset(std::size_t level_size, std::size_t start_index) {
 }
 
 void DistanceScroll::on_control(util::Seconds now, double u) {
-  // The firmware samples at its own tick, regardless of how densely the
-  // planner integrates the hand position.
-  if (now.value < next_tick_s_) return;
+  if (!tick_due(now.value)) return;
   next_tick_s_ = now.value + config_.firmware_tick.value;
 
   util::AdcCounts sampled{0};

@@ -34,6 +34,9 @@ class DistanceScroll final : public ScrollTechnique {
   [[nodiscard]] std::size_t cursor() const override { return cursor_; }
   [[nodiscard]] std::size_t level_size() const override { return level_size_; }
   void on_control(util::Seconds now, double u) override;
+  /// Only firmware ticks sample the sensor; between them on_control is a
+  /// no-op.
+  [[nodiscard]] bool reads_control_at(double now_s) const override { return tick_due(now_s); }
   [[nodiscard]] std::optional<double> target_u(std::size_t target) const override;
   [[nodiscard]] double target_width_u(std::size_t target) const override;
   /// Gross arm movement + one thumb button: nearly glove-insensitive.
@@ -42,6 +45,10 @@ class DistanceScroll final : public ScrollTechnique {
   [[nodiscard]] const core::IslandMapper& mapper() const { return mapper_; }
 
  private:
+  /// The firmware samples at its own tick, regardless of how densely the
+  /// planner integrates the hand position: the one schedule both
+  /// on_control and reads_control_at follow.
+  [[nodiscard]] bool tick_due(double now_s) const { return !(now_s < next_tick_s_); }
   [[nodiscard]] std::size_t island_of_menu_index(std::size_t menu_index) const;
 
   Config config_;

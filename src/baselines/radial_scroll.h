@@ -7,6 +7,8 @@
 // probability the planner charges time for.
 #pragma once
 
+#include <cmath>
+
 #include "baselines/scroll_technique.h"
 
 namespace distscroll::baselines {
@@ -27,7 +29,12 @@ class RadialScroll final : public ScrollTechnique {
     return {ControlStyle::RelativeUnbounded, -1e9, 1e9, 0.0, 2.0, "rev"};
   }
   void reset(std::size_t level_size, std::size_t start_index) override;
-  [[nodiscard]] std::size_t cursor() const override;
+  /// Rounded once wherever the position moves (reset/on_control): the
+  /// planner reads the cursor several times per step.
+  [[nodiscard]] std::size_t cursor() const override { return cursor_; }
+  /// The continuous position cursor() rounds, always within
+  /// [0, level_size - 1].
+  [[nodiscard]] double position() const { return position_; }
   [[nodiscard]] std::size_t level_size() const override { return level_size_; }
   void on_control(util::Seconds now, double u) override;
 
@@ -38,9 +45,12 @@ class RadialScroll final : public ScrollTechnique {
   [[nodiscard]] bool one_handed() const override { return false; }
 
  private:
+  void round_cursor() { cursor_ = static_cast<std::size_t>(std::lround(position_)); }
+
   Config config_;
   std::size_t level_size_ = 1;
   double position_ = 0.0;
+  std::size_t cursor_ = 0;  // lround(position_)
   double last_u_ = 0.0;
   bool have_last_u_ = false;
 };

@@ -57,9 +57,17 @@ class ScrollTechnique {
   [[nodiscard]] virtual std::size_t cursor() const = 0;
   [[nodiscard]] virtual std::size_t level_size() const = 0;
 
-  /// Continuous techniques: the channel's value at time `now`. Called
-  /// densely (every few ms) by the planner.
+  /// Continuous techniques: the channel's value at time `now`. The
+  /// planner steps the hand every few ms but calls this only at steps
+  /// where reads_control_at(now) is true.
   virtual void on_control(util::Seconds now, double u) = 0;
+
+  /// Whether on_control at `now_s` would read its `u`. A technique that
+  /// samples the channel on its own clock returns false between samples,
+  /// and then on_control at that time must be a no-op whatever `u` is:
+  /// the planner skips synthesizing the hand position (min-jerk plus
+  /// tremor) and the call itself there. Default: every step is read.
+  [[nodiscard]] virtual bool reads_control_at(double /*now_s*/) const { return true; }
 
   /// DiscreteSteps techniques: a key event. Default ignores.
   virtual void on_step(util::Seconds /*now*/, int /*delta*/) {}

@@ -8,6 +8,8 @@
 // shows up as a readability penalty the planner applies at large angles.
 #pragma once
 
+#include <cmath>
+
 #include "baselines/scroll_technique.h"
 #include "sensors/adxl311.h"
 #include "sim/random.h"
@@ -33,7 +35,12 @@ class TiltScroll final : public ScrollTechnique {
             "rad"};
   }
   void reset(std::size_t level_size, std::size_t start_index) override;
-  [[nodiscard]] std::size_t cursor() const override;
+  /// Rounded once wherever the position moves (reset/on_control): the
+  /// planner reads the cursor several times per step.
+  [[nodiscard]] std::size_t cursor() const override { return cursor_; }
+  /// The continuous position cursor() rounds, always within
+  /// [0, level_size - 1].
+  [[nodiscard]] double position() const { return position_; }
   [[nodiscard]] std::size_t level_size() const override { return level_size_; }
   void on_control(util::Seconds now, double u) override;
   /// Buttons are avoided but the wrist does fine angular work; gloves
@@ -41,10 +48,13 @@ class TiltScroll final : public ScrollTechnique {
   [[nodiscard]] double glove_sensitivity() const override { return 0.5; }
 
  private:
+  void round_cursor() { cursor_ = static_cast<std::size_t>(std::lround(position_)); }
+
   Config config_;
   sensors::Adxl311Model accel_;
   std::size_t level_size_ = 1;
   double position_ = 0.0;  // continuous cursor position
+  std::size_t cursor_ = 0;  // lround(position_)
   double last_sample_s_ = -1.0;
 };
 

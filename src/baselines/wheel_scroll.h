@@ -10,6 +10,8 @@
 // probability per stroke that costs recovery time.
 #pragma once
 
+#include <cmath>
+
 #include "baselines/scroll_technique.h"
 #include "sim/random.h"
 
@@ -31,7 +33,12 @@ class WheelScroll final : public ScrollTechnique {
     return {ControlStyle::RelativeStroke, 0.0, config_.stroke_max_cm, 0.0, 40.0, "cm"};
   }
   void reset(std::size_t level_size, std::size_t start_index) override;
-  [[nodiscard]] std::size_t cursor() const override;
+  /// Rounded once wherever the position moves (reset/on_control): the
+  /// planner reads the cursor several times per step.
+  [[nodiscard]] std::size_t cursor() const override { return cursor_; }
+  /// The continuous position cursor() rounds, always within
+  /// [0, level_size - 1].
+  [[nodiscard]] double position() const { return position_; }
   [[nodiscard]] std::size_t level_size() const override { return level_size_; }
   void on_control(util::Seconds now, double u) override;
   void set_engaged(bool engaged) override {
@@ -52,10 +59,13 @@ class WheelScroll final : public ScrollTechnique {
   [[nodiscard]] double glove_sensitivity() const override { return 0.25; }
 
  private:
+  void round_cursor() { cursor_ = static_cast<std::size_t>(std::lround(position_)); }
+
   Config config_;
   sim::Rng rng_;
   std::size_t level_size_ = 1;
   double position_ = 0.0;
+  std::size_t cursor_ = 0;  // lround(position_)
   bool engaged_ = false;
   int direction_ = 1;
   double last_u_ = 0.0;

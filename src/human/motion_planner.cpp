@@ -5,6 +5,9 @@
 #include <cmath>
 
 #include "baselines/button_scroll.h"
+#include "baselines/distance_scroll.h"
+#include "baselines/radial_scroll.h"
+#include "baselines/tilt_scroll.h"
 #include "baselines/wheel_scroll.h"
 #include "human/fitts.h"
 #include "human/hand_model.h"
@@ -78,6 +81,14 @@ class OvershootCounter {
   int count_ = 0;
 };
 
+/// Run `body` on the technique as its `Final` type when it is one (the
+/// per-step calls inside are then direct), else on the base class.
+template <class Final, class Body>
+AcquisitionOutcome as_final(baselines::ScrollTechnique& t, Body&& body) {
+  if (auto* concrete = dynamic_cast<Final*>(&t)) return body(*concrete);
+  return body(t);
+}
+
 }  // namespace
 
 double MotionPlanner::effective_fine_penalty(const baselines::ScrollTechnique& t,
@@ -93,19 +104,24 @@ double MotionPlanner::effective_miss_probability(const baselines::ScrollTechniqu
 AcquisitionOutcome MotionPlanner::acquire(baselines::ScrollTechnique& technique,
                                           std::size_t target, const UserProfile& profile) {
   const long start = static_cast<long>(technique.cursor());
+  // One type test per trial picks the devirtualized instantiation of the
+  // step loop; any other technique runs the same body through the base.
+  const auto absolute = [&](auto& t) { return run_absolute(t, target, profile); };
+  const auto rate = [&](auto& t) { return run_rate(t, target, profile); };
+  const auto unbounded = [&](auto& t) { return run_unbounded(t, target, profile); };
   AcquisitionOutcome outcome;
   switch (technique.spec().style) {
     case baselines::ControlStyle::AbsolutePosition:
-      outcome = run_absolute(technique, target, profile);
+      outcome = as_final<baselines::DistanceScroll>(technique, absolute);
       break;
     case baselines::ControlStyle::RateControl:
-      outcome = run_rate(technique, target, profile);
+      outcome = as_final<baselines::TiltScroll>(technique, rate);
       break;
     case baselines::ControlStyle::RelativeStroke:
       outcome = run_stroke(technique, target, profile);
       break;
     case baselines::ControlStyle::RelativeUnbounded:
-      outcome = run_unbounded(technique, target, profile);
+      outcome = as_final<baselines::RadialScroll>(technique, unbounded);
       break;
     case baselines::ControlStyle::DiscreteSteps:
       outcome = run_discrete(technique, target, profile);
@@ -116,8 +132,9 @@ AcquisitionOutcome MotionPlanner::acquire(baselines::ScrollTechnique& technique,
   return outcome;
 }
 
-bool MotionPlanner::commit_selection(baselines::ScrollTechnique& t, std::size_t target,
-                                     const UserProfile& p, double hold_u, bool feed_control,
+template <class Technique>
+bool MotionPlanner::commit_selection(Technique& t, std::size_t target, const UserProfile& p,
+                                     double hold_u, bool feed_control,
                                      AcquisitionOutcome& outcome) {
   const double penalty = effective_fine_penalty(t, p);
   const double press_time = p.button_press_s * penalty;
@@ -127,12 +144,16 @@ bool MotionPlanner::commit_selection(baselines::ScrollTechnique& t, std::size_t 
     return false;
   }
   // Holding the channel steady during the press: tremor may push an
-  // absolute channel across an island boundary mid-press.
+  // absolute channel across an island boundary mid-press. The tremor
+  // stream advances at every step; the hand position is synthesized only
+  // where the technique reads it.
   if (feed_control) {
     Tremor tremor(p.tremor, rng_.fork(777));
     const double t0 = outcome.time_s;
     for (double dt = 0.0; dt < press_time; dt += config_.dt_s) {
-      t.on_control(util::Seconds{t0 + dt}, hold_u + tremor.displacement_cm(t0 + dt));
+      const double now = t0 + dt;
+      tremor.advance(now);
+      if (t.reads_control_at(now)) t.on_control(util::Seconds{now}, hold_u + tremor.value_at(now));
     }
   }
   outcome.time_s += press_time;
@@ -143,7 +164,8 @@ bool MotionPlanner::commit_selection(baselines::ScrollTechnique& t, std::size_t 
   return true;
 }
 
-AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, std::size_t target,
+template <class Technique>
+AcquisitionOutcome MotionPlanner::run_absolute(Technique& t, std::size_t target,
                                                const UserProfile& p) {
   AcquisitionOutcome outcome;
   const auto spec = t.spec();
@@ -170,12 +192,17 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
     if (!first_move) ++outcome.corrective_movements;
     first_move = false;
 
-    // Execute the reach, feeding the channel densely.
+    // Execute the reach. The tremor stream advances at every planner
+    // step (its draws stay in step with time); the hand position is
+    // synthesized and fed only at steps the technique reads.
     const double t0 = now;
     const double u0 = u;
     while (now < t0 + reach_time.value) {
-      u = min_jerk(u0, aim, now - t0, reach_time.value);
-      t.on_control(util::Seconds{now}, u + tremor.displacement_cm(now));
+      tremor.advance(now);
+      if (t.reads_control_at(now)) {
+        t.on_control(util::Seconds{now},
+                     min_jerk(u0, aim, now - t0, reach_time.value) + tremor.value_at(now));
+      }
       overshoots.observe(static_cast<long>(t.cursor()));
       now += config_.dt_s;
     }
@@ -185,7 +212,8 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
     const double dwell = p.reaction_time_s + config_.settle_dwell_s;
     const double s0 = now;
     while (now < s0 + dwell) {
-      t.on_control(util::Seconds{now}, u + tremor.displacement_cm(now));
+      tremor.advance(now);
+      if (t.reads_control_at(now)) t.on_control(util::Seconds{now}, u + tremor.value_at(now));
       overshoots.observe(static_cast<long>(t.cursor()));
       now += config_.dt_s;
     }
@@ -208,7 +236,8 @@ AcquisitionOutcome MotionPlanner::run_absolute(baselines::ScrollTechnique& t, st
   return outcome;
 }
 
-AcquisitionOutcome MotionPlanner::run_rate(baselines::ScrollTechnique& t, std::size_t target,
+template <class Technique>
+AcquisitionOutcome MotionPlanner::run_rate(Technique& t, std::size_t target,
                                            const UserProfile& p) {
   AcquisitionOutcome outcome;
   const auto spec = t.spec();
@@ -325,7 +354,8 @@ AcquisitionOutcome MotionPlanner::run_stroke(baselines::ScrollTechnique& t, std:
   return outcome;
 }
 
-AcquisitionOutcome MotionPlanner::run_unbounded(baselines::ScrollTechnique& t, std::size_t target,
+template <class Technique>
+AcquisitionOutcome MotionPlanner::run_unbounded(Technique& t, std::size_t target,
                                                 const UserProfile& p) {
   AcquisitionOutcome outcome;
   const auto spec = t.spec();

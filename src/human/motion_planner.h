@@ -46,23 +46,27 @@ class MotionPlanner {
                              const UserProfile& profile);
 
  private:
-  struct LoopState;
-
-  AcquisitionOutcome run_absolute(baselines::ScrollTechnique& t, std::size_t target,
-                                  const UserProfile& p);
-  AcquisitionOutcome run_rate(baselines::ScrollTechnique& t, std::size_t target,
-                              const UserProfile& p);
+  // The step loops are templates over the technique type, defined in
+  // motion_planner.cpp: acquire() instantiates them once for each
+  // `final` technique it dispatches to (direct, inlinable per-step
+  // calls) and once for the ScrollTechnique base (every other
+  // technique, through the vtable). One body serves both.
+  template <class Technique>
+  AcquisitionOutcome run_absolute(Technique& t, std::size_t target, const UserProfile& p);
+  template <class Technique>
+  AcquisitionOutcome run_rate(Technique& t, std::size_t target, const UserProfile& p);
   AcquisitionOutcome run_stroke(baselines::ScrollTechnique& t, std::size_t target,
                                 const UserProfile& p);
-  AcquisitionOutcome run_unbounded(baselines::ScrollTechnique& t, std::size_t target,
-                                   const UserProfile& p);
+  template <class Technique>
+  AcquisitionOutcome run_unbounded(Technique& t, std::size_t target, const UserProfile& p);
   AcquisitionOutcome run_discrete(baselines::ScrollTechnique& t, std::size_t target,
                                   const UserProfile& p);
 
   /// Commit phase: press select while keeping the channel steady;
   /// returns false (and charges time) on slips/off-target presses.
-  bool commit_selection(baselines::ScrollTechnique& t, std::size_t target, const UserProfile& p,
-                        double hold_u, bool feed_control, AcquisitionOutcome& outcome);
+  template <class Technique>
+  bool commit_selection(Technique& t, std::size_t target, const UserProfile& p, double hold_u,
+                        bool feed_control, AcquisitionOutcome& outcome);
 
   /// Effective glove factors for this technique.
   static double effective_fine_penalty(const baselines::ScrollTechnique& t,

@@ -105,7 +105,10 @@ std::optional<Trace> read_trace(const std::string& path) {
 }
 
 void write_jsonl(std::ostream& out, const Trace& trace) {
-  char line[160];
+  // Sized for the longest line any event can render: "%.9f" of the
+  // largest double is 320 characters, and a line cut short would lose
+  // its newline and merge with the next.
+  char line[400];
   for (const TraceEvent& event : trace.events) {
     std::snprintf(line, sizeof(line), "{\"t\":%.9f,\"kind\":\"%s\",\"a\":%u,\"b\":%u}\n",
                   event.time_s, kind_name(event.kind), event.a, event.b);

@@ -182,6 +182,9 @@ bool FleetAggregates::deserialize(util::ByteReader& in) {
   double hist_sum = 0.0;
   std::uint32_t hist_buckets = 0;
   if (!in.u64(hist_count) || !in.f64(hist_sum) || !in.u32(hist_buckets)) return false;
+  // Check the stored bucket count before sizing anything by it: a
+  // corrupt count would otherwise allocate up to 32 GiB here.
+  if (hist_buckets != time_hist_.buckets().size()) return false;
   std::vector<std::uint64_t> buckets(hist_buckets, 0);
   for (std::uint64_t& b : buckets) {
     if (!in.u64(b)) return false;

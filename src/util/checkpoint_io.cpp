@@ -23,9 +23,8 @@ const char* to_string(CheckpointStatus status) {
   return "unknown";
 }
 
-CheckpointStatus write_checkpoint_file(const std::string& path, std::uint32_t magic,
-                                       std::uint32_t version,
-                                       const std::vector<std::uint8_t>& payload) {
+std::vector<std::uint8_t> encode_checkpoint_frame(std::uint32_t magic, std::uint32_t version,
+                                                  const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> frame;
   frame.reserve(payload.size() + 20);
   ByteWriter writer(frame);
@@ -35,7 +34,38 @@ CheckpointStatus write_checkpoint_file(const std::string& path, std::uint32_t ma
   frame.insert(frame.end(), payload.begin(), payload.end());
   const std::uint32_t crc = crc32({frame.data(), frame.size()});
   writer.u32(crc);
+  return frame;
+}
 
+CheckpointStatus decode_checkpoint_frame(const std::vector<std::uint8_t>& frame,
+                                         std::uint32_t magic, std::uint32_t version,
+                                         std::vector<std::uint8_t>& payload) {
+  if (frame.size() < 20) return CheckpointStatus::Corrupt;
+
+  const std::size_t crc_at = frame.size() - 4;
+  const std::uint32_t stored_crc = static_cast<std::uint32_t>(frame[crc_at]) |
+                                   static_cast<std::uint32_t>(frame[crc_at + 1]) << 8 |
+                                   static_cast<std::uint32_t>(frame[crc_at + 2]) << 16 |
+                                   static_cast<std::uint32_t>(frame[crc_at + 3]) << 24;
+  if (crc32({frame.data(), crc_at}) != stored_crc) return CheckpointStatus::Corrupt;
+
+  ByteReader reader(frame);
+  std::uint32_t file_magic = 0, file_version = 0;
+  std::uint64_t payload_size = 0;
+  if (!reader.u32(file_magic) || !reader.u32(file_version) || !reader.u64(payload_size)) {
+    return CheckpointStatus::Corrupt;
+  }
+  if (file_magic != magic) return CheckpointStatus::BadMagic;
+  if (file_version != version) return CheckpointStatus::BadVersion;
+  if (payload_size != frame.size() - 20) return CheckpointStatus::Corrupt;
+  payload.assign(frame.begin() + 16, frame.begin() + 16 + static_cast<std::ptrdiff_t>(payload_size));
+  return CheckpointStatus::Ok;
+}
+
+CheckpointStatus write_checkpoint_file(const std::string& path, std::uint32_t magic,
+                                       std::uint32_t version,
+                                       const std::vector<std::uint8_t>& payload) {
+  const std::vector<std::uint8_t> frame = encode_checkpoint_frame(magic, version, payload);
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -64,29 +94,9 @@ CheckpointStatus read_checkpoint_file(const std::string& path, std::uint32_t mag
   if (!S_ISREG(st.st_mode)) return CheckpointStatus::IoError;
   std::ifstream in(path, std::ios::binary);
   if (!in) return CheckpointStatus::IoError;
-  std::vector<std::uint8_t> frame((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  if (frame.size() < 20) return CheckpointStatus::Corrupt;
-
-  const std::size_t crc_at = frame.size() - 4;
-  const std::uint32_t stored_crc = static_cast<std::uint32_t>(frame[crc_at]) |
-                                   static_cast<std::uint32_t>(frame[crc_at + 1]) << 8 |
-                                   static_cast<std::uint32_t>(frame[crc_at + 2]) << 16 |
-                                   static_cast<std::uint32_t>(frame[crc_at + 3]) << 24;
-  if (crc32({frame.data(), crc_at}) != stored_crc) return CheckpointStatus::Corrupt;
-
-  std::vector<std::uint8_t> header(frame.begin(), frame.begin() + 16);
-  ByteReader reader(header);
-  std::uint32_t file_magic = 0, file_version = 0;
-  std::uint64_t payload_size = 0;
-  if (!reader.u32(file_magic) || !reader.u32(file_version) || !reader.u64(payload_size)) {
-    return CheckpointStatus::Corrupt;
-  }
-  if (file_magic != magic) return CheckpointStatus::BadMagic;
-  if (file_version != version) return CheckpointStatus::BadVersion;
-  if (payload_size != frame.size() - 20) return CheckpointStatus::Corrupt;
-  payload.assign(frame.begin() + 16, frame.begin() + 16 + static_cast<std::ptrdiff_t>(payload_size));
-  return CheckpointStatus::Ok;
+  const std::vector<std::uint8_t> frame((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+  return decode_checkpoint_frame(frame, magic, version, payload);
 }
 
 }  // namespace distscroll::util

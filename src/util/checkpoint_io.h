@@ -99,6 +99,18 @@ enum class CheckpointStatus : std::uint8_t {
 
 [[nodiscard]] const char* to_string(CheckpointStatus status);
 
+/// The frame above around `payload`: the exact bytes
+/// write_checkpoint_file puts on disk.
+[[nodiscard]] std::vector<std::uint8_t> encode_checkpoint_frame(
+    std::uint32_t magic, std::uint32_t version, const std::vector<std::uint8_t>& payload);
+
+/// Validates a frame (size, CRC, magic, version, payload size); on Ok,
+/// `payload` holds the frame payload bytes exactly as written.
+[[nodiscard]] CheckpointStatus decode_checkpoint_frame(const std::vector<std::uint8_t>& frame,
+                                                       std::uint32_t magic,
+                                                       std::uint32_t version,
+                                                       std::vector<std::uint8_t>& payload);
+
 /// Atomically (tmp + rename) writes `payload` framed as above.
 [[nodiscard]] CheckpointStatus write_checkpoint_file(const std::string& path,
                                                      std::uint32_t magic, std::uint32_t version,

@@ -2,6 +2,12 @@
 // study pits against DistScroll.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <memory>
+#include <vector>
+
 #include "baselines/button_scroll.h"
 #include "baselines/distance_scroll.h"
 #include "baselines/radial_scroll.h"
@@ -272,6 +278,129 @@ TEST(RadialScroll, TwoHandedAndGloveHostile) {
   RadialScroll technique;
   EXPECT_FALSE(technique.one_handed());
   EXPECT_GT(technique.glove_sensitivity(), 1.0);
+}
+
+// --- reads_control_at contract ---------------------------------------------------
+
+/// Feeds `a` a random walk of the control channel at 4 ms steps (the
+/// planner's integration step) and `b` the same walk, except that on
+/// steps where b.reads_control_at is false it gets a wildly different
+/// value and `c` gets no call at all (what the planner does). The three
+/// cursor sequences must agree. Returns how many steps were unread.
+std::size_t expect_unread_steps_ignore_u(ScrollTechnique& a, ScrollTechnique& b,
+                                         ScrollTechnique& c, std::size_t level, sim::Rng walk) {
+  const auto spec = a.spec();
+  for (ScrollTechnique* t : {&a, &b, &c}) {
+    t->reset(level, level / 2);
+    t->set_engaged(true);
+  }
+  const double lo = std::max(spec.u_min, -50.0);
+  const double hi = std::min(spec.u_max, 50.0);
+  double u = spec.u_neutral;
+  std::size_t unread = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const double now = 0.004 * step;
+    u = std::clamp(u + walk.gaussian(0.0, 0.02 * (hi - lo)), lo, hi);
+    const bool reads = b.reads_control_at(now);
+    EXPECT_EQ(a.reads_control_at(now), reads) << a.name() << " step " << step;
+    EXPECT_EQ(c.reads_control_at(now), reads) << a.name() << " step " << step;
+    a.on_control(util::Seconds{now}, u);
+    if (reads) {
+      b.on_control(util::Seconds{now}, u);
+      c.on_control(util::Seconds{now}, u);
+    } else {
+      ++unread;
+      b.on_control(util::Seconds{now}, u + 1e3 * (step % 2 == 0 ? 1.0 : -1.0));
+    }
+    EXPECT_EQ(b.cursor(), a.cursor()) << a.name() << " step " << step;
+    EXPECT_EQ(c.cursor(), a.cursor()) << a.name() << " step " << step;
+  }
+  return unread;
+}
+
+TEST(ReadsControlAt, UnreadStepsIgnoreTheChannelOnEveryTechnique) {
+  using Factory = std::function<std::unique_ptr<ScrollTechnique>()>;
+  const sim::Rng seed(0x7EC4);
+  const std::vector<std::pair<Factory, bool>> techniques = {
+      {[&] { return std::make_unique<DistanceScroll>(DistanceScroll::Config{}, seed); }, true},
+      {[&] { return std::make_unique<TiltScroll>(TiltScroll::Config{}, seed); }, false},
+      {[&] { return std::make_unique<WheelScroll>(WheelScroll::Config{}, seed); }, false},
+      {[] { return std::make_unique<ButtonScroll>(); }, false},
+      {[] { return std::make_unique<RadialScroll>(); }, false},
+  };
+  for (const auto& [make, gated] : techniques) {
+    for (const std::size_t level : {5u, 40u}) {
+      auto a = make(), b = make(), c = make();
+      const std::size_t unread =
+          expect_unread_steps_ignore_u(*a, *b, *c, level, sim::Rng(level));
+      if (gated) {
+        // The 20 ms firmware tick reads about one 4 ms step in five
+        // (rounding in the step clock lets a tick slip by one step).
+        EXPECT_NEAR(static_cast<double>(unread), 2400.0, 30.0) << a->name();
+      } else {
+        EXPECT_EQ(unread, 0u) << a->name();
+      }
+    }
+  }
+}
+
+/// Overrides nothing but the pure virtuals: the default reads every step.
+class EveryStep final : public ScrollTechnique {
+ public:
+  std::string name() const override { return "every-step"; }
+  ControlSpec spec() const override { return {}; }
+  void reset(std::size_t level_size, std::size_t start) override {
+    level_size_ = level_size;
+    cursor_ = start;
+  }
+  std::size_t cursor() const override { return cursor_; }
+  std::size_t level_size() const override { return level_size_; }
+  void on_control(util::Seconds, double u) override {
+    cursor_ = static_cast<std::size_t>(std::clamp(u, 0.0, 1.0) * (level_size_ - 1));
+  }
+
+ private:
+  std::size_t level_size_ = 1;
+  std::size_t cursor_ = 0;
+};
+
+TEST(ReadsControlAt, DefaultReadsEveryStep) {
+  EveryStep a, b, c;
+  EXPECT_EQ(expect_unread_steps_ignore_u(a, b, c, 10, sim::Rng(3)), 0u);
+  for (const double now : {0.0, 0.004, 0.0199, 1e6}) EXPECT_TRUE(a.reads_control_at(now));
+}
+
+/// The cached cursor of the continuous-position techniques is exactly
+/// the rounded, clamped position after every kind of state change.
+template <class Technique>
+void expect_cursor_is_rounded_position(Technique& t, sim::Rng walk) {
+  const auto spec = t.spec();
+  for (const std::size_t level : {1u, 5u, 40u}) {
+    t.reset(level, level / 3);
+    const auto expected = [&] {
+      const double clamped = std::clamp(t.position(), 0.0, static_cast<double>(level - 1));
+      return static_cast<std::size_t>(std::lround(clamped));
+    };
+    EXPECT_EQ(t.cursor(), expected()) << t.name();
+    double u = spec.u_neutral;
+    const double lo = std::max(spec.u_min, -50.0);
+    const double hi = std::min(spec.u_max, 50.0);
+    for (int step = 0; step < 4000; ++step) {
+      if (step % 250 == 0) t.set_engaged(step % 500 == 0);
+      u = std::clamp(u + walk.gaussian(0.0, 0.03 * (hi - lo)), lo, hi);
+      t.on_control(util::Seconds{0.004 * step}, u);
+      ASSERT_EQ(t.cursor(), expected()) << t.name() << " level " << level << " step " << step;
+    }
+  }
+}
+
+TEST(CachedCursor, EqualsRoundedClampedPositionOverARandomWalk) {
+  TiltScroll tilt({}, sim::Rng(11));
+  expect_cursor_is_rounded_position(tilt, sim::Rng(12));
+  RadialScroll radial;
+  expect_cursor_is_rounded_position(radial, sim::Rng(13));
+  WheelScroll wheel({}, sim::Rng(14));
+  expect_cursor_is_rounded_position(wheel, sim::Rng(15));
 }
 
 }  // namespace

@@ -2,8 +2,15 @@
 // learning, the full-device user study, and the report tables.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+
 #include "baselines/button_scroll.h"
 #include "baselines/distance_scroll.h"
+#include "baselines/radial_scroll.h"
+#include "baselines/tilt_scroll.h"
+#include "baselines/wheel_scroll.h"
 #include "menu/phone_menu.h"
 #include "study/device_study.h"
 #include "study/metrics.h"
@@ -94,6 +101,88 @@ TEST(Trial, RecordsScrollDistance) {
   const auto record = run_trial(technique, task, human::UserProfile::average(), sim::Rng(6));
   EXPECT_EQ(record.scroll_distance, 5u);
   EXPECT_EQ(record.level_size, 10u);
+}
+
+// --- golden: the scalar planner on every technique ------------------------------------
+
+/// FNV-1a over 64-bit words; doubles enter by bit pattern so a last-ulp
+/// change in any record moves the digest.
+class RecordDigest {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xFFu;
+      hash_ *= 0x100000001B3ull;
+    }
+  }
+  void add(const TrialRecord& r) {
+    add(r.outcome.success ? 1u : 0u);
+    add(std::bit_cast<std::uint64_t>(r.outcome.time_s));
+    add(static_cast<std::uint64_t>(r.outcome.corrective_movements));
+    add(static_cast<std::uint64_t>(r.outcome.overshoots));
+    add(static_cast<std::uint64_t>(r.outcome.wrong_selections));
+    add(std::bit_cast<std::uint64_t>(r.outcome.id_bits));
+    add(r.level_size);
+    add(r.scroll_distance);
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+std::unique_ptr<baselines::ScrollTechnique> make_golden_technique(std::size_t index,
+                                                                  sim::Rng rng) {
+  switch (index) {
+    case 0:
+      return std::make_unique<baselines::DistanceScroll>(baselines::DistanceScroll::Config{},
+                                                         rng);
+    case 1: return std::make_unique<baselines::TiltScroll>(baselines::TiltScroll::Config{}, rng);
+    case 2: return std::make_unique<baselines::WheelScroll>(baselines::WheelScroll::Config{}, rng);
+    case 3: return std::make_unique<baselines::ButtonScroll>();
+    default: return std::make_unique<baselines::RadialScroll>();
+  }
+}
+
+// Pins every TrialRecord field the scalar run_trials path produces for
+// all five techniques (batch_test pins DistScroll only). The digest was
+// recorded before the planner's tick-gated synthesis, cached cursors and
+// devirtualized loop went in; any change to draw order, step schedule or
+// cursor rounding moves it.
+TEST(Golden, ScalarTrialRecordsAllTechniques) {
+  const human::Glove gloves[] = {human::Glove::None, human::Glove::Thick};
+  const std::size_t menus[] = {5, 40};
+  RecordDigest digest;
+  std::size_t wrong = 0, corrective = 0, overshoots = 0, records_seen = 0;
+  std::uint64_t cell = 0;
+  for (std::size_t technique_index = 0; technique_index < 5; ++technique_index) {
+    for (const auto glove : gloves) {
+      for (const std::size_t menu : menus) {
+        for (std::size_t participant = 0; participant < 2; ++participant) {
+          const sim::Rng rng = sim::Rng(0x5CA1A7).fork(cell++);
+          auto technique = make_golden_technique(technique_index, rng.fork(1));
+          const auto profile = human::UserProfile::average()
+                                   .with_expertise(0.25 + 0.5 * static_cast<double>(participant))
+                                   .with_glove(glove);
+          sim::Rng task_rng = rng.fork(2);
+          const auto tasks = random_tasks(task_rng, menu, 30);
+          for (const auto& r : run_trials(*technique, tasks, profile, rng.fork(3))) {
+            digest.add(r);
+            ++records_seen;
+            if (r.outcome.wrong_selections > 0) ++wrong;
+            if (r.outcome.corrective_movements > 0) ++corrective;
+            if (r.outcome.overshoots > 0) ++overshoots;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(records_seen, 5u * 2u * 2u * 2u * 30u);
+  // The grid exercises every outcome branch the digest pins.
+  EXPECT_GT(wrong, 0u);
+  EXPECT_GT(corrective, 0u);
+  EXPECT_GT(overshoots, 0u);
+  EXPECT_EQ(digest.value(), 0xD6E8F913EF11CF75ull) << std::hex << digest.value();
 }
 
 // --- sessions: the learning curve -----------------------------------------------------
