@@ -330,6 +330,27 @@ void BM_FleetChunk(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetChunk)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+/// One run_fleet at the perfbench fleet_parallel unit's shape (2048
+/// participants x 4 trials, menu 40, chunk 256, 4 chunks per window,
+/// batched body) on Arg threads, without its checkpoint writes — the
+/// FleetEngine scheduling layer's 1/2/4-thread scaling curve.
+void BM_FleetRun(benchmark::State& state) {
+  study::FleetStudyConfig config;
+  config.participants = 2048;
+  config.trials_per_participant = 4;
+  config.menu_size = 40;
+  config.chunk = 256;
+  config.window_chunks = 4;
+  config.batched = true;
+  config.threads = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    const auto result = study::run_fleet(config);
+    benchmark::DoNotOptimize(result.cursor);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(config.participants));
+}
+BENCHMARK(BM_FleetRun)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 /// The tracer hot path: one record into the pre-allocated ring — what
 /// every instrumented firmware tick pays per event. Arg 1 = category
 /// mask hit (event retained), Arg 0 = mask miss (stream filtered off,

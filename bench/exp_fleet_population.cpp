@@ -24,12 +24,14 @@
 // BENCH_exp_fleet_population.json records fleet_wall_s,
 // fleet_participants_per_s, both bit-identity verdicts and the RSS
 // growth ratio; tools/bench_compare gates all of them under
-// `ctest -L perf`. The process exit code enforces the contract even
-// without a baseline.
+// `ctest -L perf`. It also records the 2- and 8-thread passes'
+// participants/s as fleet_participants_per_s_t2 / _t8 (ungated). The
+// process exit code enforces the contract even without a baseline.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__GLIBC__)
@@ -133,10 +135,15 @@ int main() {
   // Passes 2 and 3: same study on 2 and 8 threads — the merged
   // aggregates must be byte-identical to the reference.
   bool fleet_bit_identical = true;
+  std::vector<std::pair<std::size_t, double>> participants_per_s_by_threads;
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     auto config = base_config(participants);
     config.threads = threads;
+    const double start_s = study::sweep_wall_clock_s();
     const auto result = run_fleet(config);
+    const double wall_s = study::sweep_wall_clock_s() - start_s;
+    participants_per_s_by_threads.emplace_back(
+        threads, wall_s > 0.0 ? static_cast<double>(participants) / wall_s : 0.0);
     const bool same = result.complete && result.aggregates.to_bytes() == reference_bytes;
     if (!same) {
       std::fprintf(stderr, "exp_fleet_population: %zu-thread pass DIVERGED from reference\n",
@@ -188,6 +195,9 @@ int main() {
               static_cast<double>(agg.wrong_selections()) / trials, agg.time_s().mean(),
               agg.time_sketch().quantile(0.50), agg.time_sketch().quantile(0.90),
               agg.time_sketch().quantile(0.99));
+  for (const auto& [threads, rate] : participants_per_s_by_threads) {
+    std::printf("  %zu threads: %.0f participants/s\n", threads, rate);
+  }
   std::printf("  thread bit-identity %s, resume bit-identity %s, peak RSS %.1f MiB "
               "(%.3fx of %" PRIu64 "-participant baseline)\n",
               fleet_bit_identical ? "OK" : "DIVERGED",
@@ -215,6 +225,7 @@ int main() {
   report.fleet_bit_identical = fleet_bit_identical;
   report.fleet_resume_bit_identical = fleet_resume_bit_identical;
   report.fleet_rss_growth = rss_growth;
+  report.fleet_participants_per_s_by_threads = participants_per_s_by_threads;
   if (!distscroll::util::write_bench_report(report)) {
     std::fprintf(stderr, "exp_fleet_population: could not write BENCH json\n");
     return 1;

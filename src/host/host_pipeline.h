@@ -60,7 +60,7 @@ struct HostIngestConfig {
   wireless::ArqConfig arq{.initial_timeout = util::Seconds{0.12}};
   std::uint64_t base_seed = 0x5EED;
   std::uint16_t session_id = 0;
-  std::size_t threads = 1;        // 0 = hardware_concurrency; NOT part of identity
+  std::size_t threads = 1;        // 0 = sim::available_cpus(); NOT part of identity
   // Re-derive every accepted frame from its device's pure telemetry
   // source and compare — the zero-corruption acceptance check. Costs a
   // few RNG draws per frame; benches may turn it off after the property

@@ -2,12 +2,26 @@
 
 #include <algorithm>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace distscroll::sim {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+std::size_t available_cpus() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int count = CPU_COUNT(&mask);
+    if (count > 0) return static_cast<std::size_t>(count);
   }
+#endif
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+ThreadPool::ThreadPool(std::size_t threads) {
+  if (threads == 0) threads = available_cpus();
   workers_.reserve(threads - 1);
   for (std::size_t i = 0; i + 1 < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

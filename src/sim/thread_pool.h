@@ -20,9 +20,15 @@
 
 namespace distscroll::sim {
 
+/// CPUs this process may run on: the size of its sched_getaffinity mask
+/// (so `taskset` and cpuset limits count), falling back to
+/// std::thread::hardware_concurrency() where no mask is available.
+/// Never 0.
+[[nodiscard]] std::size_t available_cpus();
+
 class ThreadPool {
  public:
-  /// `threads` counts the calling thread; 0 means hardware_concurrency.
+  /// `threads` counts the calling thread; 0 means available_cpus().
   /// threads == 1 spawns no workers and runs everything inline.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "baselines/distance_scroll.h"
@@ -289,48 +290,59 @@ FleetRunResult run_fleet(const FleetStudyConfig& config, std::uint64_t stop_afte
   engine_config.chunk = cfg.chunk;
   engine_config.base_seed = cfg.base_seed;
   engine_config.window_chunks = cfg.window_chunks;
-  FleetEngine<FleetAggregates> engine(engine_config);
+  // The engine stores each participant; their trial records sit in one
+  // flat buffer beside it, slot by slot, so a warm window allocates
+  // nothing that outlives its block.
+  using Engine = FleetEngine<FleetAggregates, human::SampledParticipant>;
+  Engine engine(engine_config);
+  const std::size_t trials_per = cfg.trials_per_participant;
+  std::vector<TrialRecord> trial_store(static_cast<std::size_t>(engine.span()) * trials_per);
+  const auto trials_of = [&](std::uint64_t participant) {
+    return std::span<TrialRecord>(trial_store).subspan(engine.slot(participant) * trials_per,
+                                                       trials_per);
+  };
 
-  const auto scalar_chunk = [&cfg](std::uint64_t first, std::uint64_t count, FleetAggregates& out,
-                                   const FleetEngine<FleetAggregates>& eng) {
+  const auto simulate_scalar = [&](std::uint64_t first, std::uint64_t count, Engine& eng) {
     for (std::uint64_t k = 0; k < count; ++k) {
       const sim::Rng rng = eng.participant_rng(first + k);
-      const auto participant = human::sample_participant(cfg.population, rng.fork(0));
+      human::SampledParticipant& participant = eng.record(first + k);
+      participant = human::sample_participant(cfg.population, rng.fork(0));
       baselines::DistanceScroll technique(technique_config(participant), rng.fork(1));
       sim::Rng task_rng = rng.fork(2);
-      const auto tasks = random_tasks(task_rng, cfg.menu_size, cfg.trials_per_participant);
+      const auto tasks = random_tasks(task_rng, cfg.menu_size, trials_per);
       const auto records = run_trials(technique, tasks, participant.profile, rng.fork(3));
-      out.fold_participant(participant);
-      for (const TrialRecord& record : records) out.fold_trial(record);
+      std::copy(records.begin(), records.end(), trials_of(first + k).begin());
     }
   };
 
-  // Same per-participant streams and the same fold order as the scalar
-  // body — the chunk's participants become BatchTrialRunner lanes, and
-  // folding happens AFTER run() in lane (== participant) order.
-  const auto batched_chunk = [&cfg](std::uint64_t first, std::uint64_t count,
-                                    FleetAggregates& out,
-                                    const FleetEngine<FleetAggregates>& eng) {
+  // Same per-participant streams as the scalar body: the block's
+  // participants become one BatchTrialRunner group of <= kBlock lanes.
+  const auto simulate_batched = [&](std::uint64_t first, std::uint64_t count, Engine& eng) {
     auto& batch = BatchTrialRunner::local();
-    thread_local std::vector<human::SampledParticipant> lane_participants;
-    lane_participants.assign(static_cast<std::size_t>(count), human::SampledParticipant{});
     batch.begin_group(static_cast<std::size_t>(count));
     for (std::uint64_t k = 0; k < count; ++k) {
       const sim::Rng rng = eng.participant_rng(first + k);
-      lane_participants[static_cast<std::size_t>(k)] =
-          human::sample_participant(cfg.population, rng.fork(0));
-      const auto& participant = lane_participants[static_cast<std::size_t>(k)];
+      human::SampledParticipant& participant = eng.record(first + k);
+      participant = human::sample_participant(cfg.population, rng.fork(0));
       sim::Rng task_rng = rng.fork(2);
-      const auto tasks = random_tasks(task_rng, cfg.menu_size, cfg.trials_per_participant);
+      const auto tasks = random_tasks(task_rng, cfg.menu_size, trials_per);
       batch.init_cell(static_cast<std::size_t>(k), technique_config(participant), rng.fork(1),
                       tasks, participant.profile, rng.fork(3));
     }
     batch.run();
     for (std::uint64_t k = 0; k < count; ++k) {
-      out.fold_participant(lane_participants[static_cast<std::size_t>(k)]);
-      for (const TrialRecord& record : batch.records(static_cast<std::size_t>(k))) {
-        out.fold_trial(record);
-      }
+      const auto records = batch.records(static_cast<std::size_t>(k));
+      std::copy(records.begin(), records.end(), trials_of(first + k).begin());
+    }
+  };
+
+  // Both bodies share the fold: participant order, and each
+  // participant's trials in task order.
+  const auto fold = [&](std::uint64_t first, std::uint64_t count, FleetAggregates& out,
+                        const Engine& eng) {
+    for (std::uint64_t k = 0; k < count; ++k) {
+      out.fold_participant(eng.record(first + k));
+      for (const TrialRecord& record : trials_of(first + k)) out.fold_trial(record);
     }
   };
 
@@ -355,9 +367,9 @@ FleetRunResult run_fleet(const FleetStudyConfig& config, std::uint64_t stop_afte
 
   const std::uint64_t stop = std::min(stop_after, cfg.participants);
   if (cfg.batched) {
-    engine.run(result.aggregates, result.cursor, stop, batched_chunk, window_hook);
+    engine.run(result.aggregates, result.cursor, stop, simulate_batched, fold, window_hook);
   } else {
-    engine.run(result.aggregates, result.cursor, stop, scalar_chunk, window_hook);
+    engine.run(result.aggregates, result.cursor, stop, simulate_scalar, fold, window_hook);
   }
 
   result.complete = result.cursor >= cfg.participants;

@@ -1,5 +1,5 @@
 // Fleet-scale DistScroll population study: streaming aggregates,
-// checkpointable runs, scalar and batched chunk bodies.
+// checkpointable runs, scalar and batched simulate bodies.
 //
 // run_fleet() drives the FleetEngine over a sampled population
 // (human::PopulationSpec): participant k's profile, task set and trial
@@ -11,9 +11,11 @@
 // count, with or without the batched kernel, and across any
 // checkpoint/resume split (DESIGN.md §12).
 //
-// Memory is O(FleetAggregates) — a few KB of moments, counters, one
-// log₂ time histogram and one quantile sketch — regardless of whether
-// the run covers 10 thousand or 10 million participants.
+// Memory is O(FleetAggregates) per chunk of a window — a few KB of
+// moments, counters, one log₂ time histogram and one quantile sketch —
+// plus one window of per-participant results (profile and trial
+// records) awaiting their fold, regardless of whether the run covers 10
+// thousand or 10 million participants.
 #pragma once
 
 #include <array>
@@ -33,7 +35,8 @@ namespace distscroll::study {
 /// Everything a fleet run keeps: mergeable, clearable, byte-exactly
 /// serialisable. Fold order within a chunk is participant order, and
 /// for each participant fold_participant() then its trials in task
-/// order — both chunk bodies follow it, so batched == scalar bytes.
+/// order — run_fleet's one fold does this for both simulate bodies, so
+/// batched == scalar bytes.
 class FleetAggregates {
  public:
   FleetAggregates();
@@ -102,15 +105,17 @@ struct FleetStudyConfig {
   std::uint32_t trials_per_participant = 4;
   std::uint32_t menu_size = 40;
   std::uint64_t base_seed = 0xD157F1EE;
-  /// 0 resolves like SweepConfig::threads ($DISTSCROLL_THREADS / hw).
+  /// 0 resolves like SweepConfig::threads ($DISTSCROLL_THREADS /
+  /// available CPUs).
   std::size_t threads = 0;
   /// Merge granularity (participants per chunk) — part of the result's
   /// identity and of the checkpoint identity block.
   std::uint64_t chunk = 256;
-  /// Memory bound (chunk aggregates in flight); NOT part of identity.
+  /// Memory bound (chunks, and their participants' results, in flight
+  /// per window); NOT part of identity.
   std::size_t window_chunks = 32;
-  /// Run participants through BatchTrialRunner lanes instead of the
-  /// scalar run_trials() body. Bit-identical either way (pinned by
+  /// Simulate participants through BatchTrialRunner lanes instead of
+  /// the scalar run_trials() body. Bit-identical either way (pinned by
   /// tests/fleet_test.cpp), so not part of the checkpoint identity.
   bool batched = true;
   /// Empty disables checkpointing entirely.

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -16,8 +15,7 @@ std::size_t resolve_sweep_threads(std::size_t requested) {
     const long parsed = std::strtol(env, nullptr, 10);
     if (parsed >= 1) return static_cast<std::size_t>(parsed);
   }
-  const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware > 0 ? hardware : 1;
+  return sim::available_cpus();
 }
 
 double sweep_wall_clock_s() {

@@ -75,13 +75,13 @@ class SweepGrid {
 
 struct SweepConfig {
   /// 0 resolves to $DISTSCROLL_THREADS, falling back to
-  /// hardware_concurrency. 1 runs strictly sequentially (no pool).
+  /// sim::available_cpus(). 1 runs strictly sequentially (no pool).
   std::size_t threads = 0;
   std::size_t chunk = 1;  // cells per work-queue claim
   std::uint64_t base_seed = 0;
 };
 
-/// Resolve SweepConfig::threads == 0 (env var / hardware).
+/// Resolve SweepConfig::threads == 0 (env var / available CPUs).
 [[nodiscard]] std::size_t resolve_sweep_threads(std::size_t requested);
 
 class SweepRunner {

@@ -42,6 +42,11 @@ bool write_bench_report(const BenchReport& report) {
                   report.fleet_resume_bit_identical ? "true" : "false",
                   report.fleet_rss_growth);
     out << buffer;
+    for (const auto& [threads, rate] : report.fleet_participants_per_s_by_threads) {
+      std::snprintf(buffer, sizeof(buffer), ",\n  \"fleet_participants_per_s_t%zu\": %.1f",
+                    threads, rate);
+      out << buffer;
+    }
   }
   if (report.host_devices > 0) {
     std::snprintf(buffer, sizeof(buffer),

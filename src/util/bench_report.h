@@ -8,6 +8,8 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace distscroll::util {
 
@@ -37,6 +39,10 @@ struct BenchReport {
   /// Peak-RSS ratio (full run / small-run baseline); ~1.0 proves
   /// O(aggregates) memory. 0 when the probe is unavailable.
   double fleet_rss_growth = 0.0;
+  /// Participants/s of each multi-thread fleet pass as (threads, rate),
+  /// emitted as "fleet_participants_per_s_t<threads>" — the scaling
+  /// curve beside the 1-thread fleet_participants_per_s.
+  std::vector<std::pair<std::size_t, double>> fleet_participants_per_s_by_threads;
   // Host ingest pass (host::run_host_ingest); the block is emitted only
   // when host_devices > 0, so other benches are unaffected.
   std::size_t host_devices = 0;

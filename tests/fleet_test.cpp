@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "human/population.h"
@@ -405,6 +409,151 @@ TEST(FleetEngine, WindowHookFiresAtChunkAlignedCursors) {
   EXPECT_EQ(cuts.back(), config.participants);
 }
 
+// --- FleetEngine two-phase run (simulate blocks, fold chunks) --------------
+
+/// What the two-phase probe simulates per participant: the same eight
+/// draws probe_body folds, so both run forms must agree bit for bit.
+struct ProbeRecord {
+  std::array<double, 8> draws{};
+  std::uint64_t participant = ~std::uint64_t{0};
+};
+using ProbeEngine = study::FleetEngine<ProbeAgg, ProbeRecord>;
+
+void probe_simulate(std::uint64_t first, std::uint64_t count, ProbeEngine& engine) {
+  for (std::uint64_t k = 0; k < count; ++k) {
+    sim::Rng rng = engine.participant_rng(first + k);
+    ProbeRecord& out = engine.record(first + k);
+    for (double& draw : out.draws) draw = rng.gaussian(0.0, 1.0);
+    out.participant = first + k;
+  }
+}
+
+void probe_fold(std::uint64_t first, std::uint64_t count, ProbeAgg& out,
+                const ProbeEngine& engine) {
+  for (std::uint64_t k = 0; k < count; ++k) {
+    const ProbeRecord& record = engine.record(first + k);
+    ASSERT_EQ(record.participant, first + k) << "fold read another participant's slot";
+    for (const double draw : record.draws) {
+      out.moments.add(draw);
+      out.sketch.add(draw);
+    }
+  }
+}
+
+/// 1037 participants in chunks of 100: a multiple of neither the block
+/// size nor the chunk, so windows end on partial blocks and the last
+/// chunk is partial.
+study::FleetConfig odd_config(std::size_t threads) {
+  study::FleetConfig config;
+  config.participants = 1037;
+  config.threads = threads;
+  config.chunk = 100;
+  config.window_chunks = 4;
+  config.base_seed = 1234;
+  return config;
+}
+
+TEST(FleetEngine, TwoPhaseBitIdenticalAcrossThreadCounts) {
+  static_assert(1037 % ProbeEngine::kBlock != 0);
+  auto run_at = [](std::size_t threads) {
+    const study::FleetConfig config = odd_config(threads);
+    ProbeEngine engine(config);
+    ProbeAgg global;
+    std::uint64_t cursor = 0;
+    engine.run(global, cursor, config.participants, probe_simulate, probe_fold,
+               [](const ProbeAgg&, std::uint64_t) {});
+    EXPECT_EQ(cursor, config.participants);
+    return global;
+  };
+  const ProbeAgg reference = run_at(1);
+  EXPECT_EQ(reference.moments.count(), 1037u * 8u);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    EXPECT_EQ(run_at(threads), reference) << threads << " threads diverged";
+  }
+  // The chunk-body form folds the same draws in the same order.
+  const study::FleetConfig config = odd_config(4);
+  study::FleetEngine<ProbeAgg> chunk_engine(config);
+  ProbeAgg chunked;
+  std::uint64_t cursor = 0;
+  chunk_engine.run(chunked, cursor, config.participants, probe_body);
+  EXPECT_EQ(chunked, reference);
+}
+
+TEST(FleetEngine, TwoPhaseResumeWithDifferentWindowMatchesStraightRun) {
+  const auto no_hook = [](const ProbeAgg&, std::uint64_t) {};
+  const study::FleetConfig config = odd_config(4);
+  ProbeEngine straight_engine(config);
+  ProbeAgg straight;
+  std::uint64_t cursor = 0;
+  straight_engine.run(straight, cursor, config.participants, probe_simulate, probe_fold, no_hook);
+
+  ProbeEngine split_engine(config);
+  ProbeAgg split;
+  std::uint64_t split_cursor = 0;
+  split_engine.run(split, split_cursor, 333, probe_simulate, probe_fold, no_hook);
+  EXPECT_EQ(split_cursor, 400u);  // rounded up to the chunk boundary
+
+  // The resumed engine holds 3-chunk windows and runs on 3 threads: its
+  // store spans 300 participants, so windows starting at 400 wrap it.
+  study::FleetConfig resume_config = config;
+  resume_config.window_chunks = 3;
+  resume_config.threads = 3;
+  ProbeEngine resume_engine(resume_config);
+  resume_engine.run(split, split_cursor, config.participants, probe_simulate, probe_fold,
+                    no_hook);
+  EXPECT_EQ(split_cursor, config.participants);
+  EXPECT_EQ(split, straight);
+}
+
+TEST(FleetEngine, SimulateRunsExactlyOncePerParticipant) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const study::FleetConfig config = odd_config(threads);
+    std::vector<std::atomic<int>> simulated(config.participants);
+    std::atomic<std::uint64_t> oversized_blocks{0};
+    ProbeEngine engine(config);
+    ProbeAgg global;
+    std::uint64_t cursor = 0;
+    engine.run(
+        global, cursor, config.participants,
+        [&](std::uint64_t first, std::uint64_t count, ProbeEngine& eng) {
+          if (count == 0 || count > ProbeEngine::kBlock) oversized_blocks.fetch_add(1);
+          for (std::uint64_t k = 0; k < count; ++k) simulated[first + k].fetch_add(1);
+          probe_simulate(first, count, eng);
+        },
+        probe_fold, [](const ProbeAgg&, std::uint64_t) {});
+    EXPECT_EQ(oversized_blocks.load(), 0u) << threads << " threads";
+    for (std::uint64_t k = 0; k < config.participants; ++k) {
+      ASSERT_EQ(simulated[k].load(), 1) << "participant " << k << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(FleetEngine, FoldSeesOnlyChunkAlignedRanges) {
+  const study::FleetConfig config = odd_config(4);
+  std::mutex mutex;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+  ProbeEngine engine(config);
+  ProbeAgg global;
+  std::uint64_t cursor = 0;
+  engine.run(global, cursor, config.participants, probe_simulate,
+             [&](std::uint64_t first, std::uint64_t count, ProbeAgg& out,
+                 const ProbeEngine& eng) {
+               {
+                 std::lock_guard<std::mutex> lock(mutex);
+                 ranges.emplace_back(first, count);
+               }
+               probe_fold(first, count, out, eng);
+             },
+             [](const ProbeAgg&, std::uint64_t) {});
+  std::sort(ranges.begin(), ranges.end());
+  ASSERT_EQ(ranges.size(), 11u);  // ten whole chunks and the partial 37
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    EXPECT_EQ(ranges[i].first, i * config.chunk);
+    EXPECT_EQ(ranges[i].second,
+              std::min(config.chunk, config.participants - ranges[i].first));
+  }
+}
+
 // --- end-to-end fleet study -----------------------------------------------
 
 study::FleetStudyConfig small_fleet() {
@@ -420,18 +569,23 @@ study::FleetStudyConfig small_fleet() {
 }
 
 TEST(FleetStudy, BatchedMatchesScalarByteForByte) {
-  auto batched = small_fleet();
-  batched.batched = true;
-  auto scalar = small_fleet();
-  scalar.batched = false;
-  const auto a = study::run_fleet(batched);
-  const auto b = study::run_fleet(scalar);
-  ASSERT_TRUE(a.complete);
-  ASSERT_TRUE(b.complete);
-  EXPECT_EQ(a.aggregates, b.aggregates);
-  EXPECT_EQ(a.aggregates.to_bytes(), b.aggregates.to_bytes());
-  EXPECT_EQ(a.aggregates.participants(), 640u);
-  EXPECT_EQ(a.aggregates.trials(), 1280u);
+  // Both bodies run through the simulate-block phase, so compare them
+  // with the blocks spread over a pool as well as inline.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    auto batched = small_fleet();
+    batched.batched = true;
+    batched.threads = threads;
+    auto scalar = batched;
+    scalar.batched = false;
+    const auto a = study::run_fleet(batched);
+    const auto b = study::run_fleet(scalar);
+    ASSERT_TRUE(a.complete);
+    ASSERT_TRUE(b.complete);
+    EXPECT_EQ(a.aggregates, b.aggregates) << threads << " threads";
+    EXPECT_EQ(a.aggregates.to_bytes(), b.aggregates.to_bytes()) << threads << " threads";
+    EXPECT_EQ(a.aggregates.participants(), 640u);
+    EXPECT_EQ(a.aggregates.trials(), 1280u);
+  }
 }
 
 TEST(FleetStudy, BitIdenticalAcrossThreadCounts) {

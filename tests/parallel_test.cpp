@@ -15,6 +15,10 @@
 #include <sstream>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "core/distscroll_device.h"
 #include "human/user_profile.h"
 #include "menu/phone_menu.h"
@@ -67,8 +71,41 @@ TEST(ThreadPool, ReusableAcrossJobs) {
 TEST(ThreadPool, SizeCountsCaller) {
   EXPECT_EQ(sim::ThreadPool(1).size(), 1u);
   EXPECT_EQ(sim::ThreadPool(8).size(), 8u);
-  EXPECT_GE(sim::ThreadPool(0).size(), 1u);  // hardware default, at least the caller
+  EXPECT_GE(sim::ThreadPool(0).size(), 1u);  // available CPUs, at least the caller
 }
+
+#if defined(__linux__)
+// threads = 0 must size to the CPUs the process may run on, not to the
+// machine: under `taskset` or a cpuset, hardware_concurrency() reports
+// every CPU and the pool would oversubscribe the few it is allowed.
+TEST(ThreadPool, ZeroThreadsFollowTheAffinityMask) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(sim::available_cpus(), static_cast<std::size_t>(CPU_COUNT(&original)));
+  int first_cpu = -1;
+  for (int cpu = 0; cpu < CPU_SETSIZE && first_cpu < 0; ++cpu) {
+    if (CPU_ISSET(cpu, &original)) first_cpu = cpu;
+  }
+  ASSERT_GE(first_cpu, 0);
+  cpu_set_t narrowed;
+  CPU_ZERO(&narrowed);
+  CPU_SET(first_cpu, &narrowed);
+  if (sched_setaffinity(0, sizeof(narrowed), &narrowed) != 0) {
+    GTEST_SKIP() << "this process may not change its own CPU affinity";
+  }
+  const std::size_t cpus = sim::available_cpus();
+  const std::size_t pool_size = sim::ThreadPool(0).size();
+  const std::size_t sweep_threads = study::resolve_sweep_threads(0);
+  // Restore before asserting, so a failure cannot leave the rest of
+  // this process pinned to one CPU.
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(cpus, 1u);
+  EXPECT_EQ(pool_size, 1u);
+  if (std::getenv("DISTSCROLL_THREADS") == nullptr) EXPECT_EQ(sweep_threads, 1u);
+  EXPECT_EQ(sim::available_cpus(), static_cast<std::size_t>(CPU_COUNT(&original)));
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // SweepRunner determinism contract
