@@ -7,10 +7,17 @@
 #   tracing-off  same labels — proves tracing compiled out changes no
 #                behaviour (perf baselines are recorded for the tracing
 #                build, so the perf gate only runs on default)
-#   asan-ubsan   lint + unit + fuzz + host under ASan/UBSan (+ the
-#                gcc/clang extra UBSan checks CMakeLists.txt adds per
-#                compiler); host runs here too so the ingest drain loop
-#                and the DSTL decoder get the over-read instrumentation
+#   asan-ubsan   lint + unit + fuzz + host + batch + fleet under
+#                ASan/UBSan (+ the gcc/clang extra UBSan checks
+#                CMakeLists.txt adds per compiler); host runs here so the
+#                ingest drain loop and the DSTL decoder get the over-read
+#                instrumentation, batch and fleet so the lane driver and
+#                the shared planner body do
+#   tsan         the tsan test preset's name filter (thread pool, sweep
+#                runner, event queue, RNG, the batched 8-thread identity
+#                tests and the fleet thread-count identity tests) under
+#                ThreadSanitizer: BatchTrialRunner::local() is
+#                thread-local state used from pool threads
 #
 # Every flavour runs the same pre-step: build ds_lint alone and assert
 # `ds_lint --root .` exits 0 BEFORE the (much longer) test build. A
@@ -81,7 +88,8 @@ run_perf_gate() {
 
 run_flavour default     'lint|unit|property|golden|batch|fleet|host'
 run_flavour tracing-off 'lint|unit|property|golden|batch|fleet|host'
-run_flavour asan-ubsan  'lint|unit|fuzz|host'
+run_flavour asan-ubsan  'lint|unit|fuzz|host|batch|fleet'
+run_flavour tsan        'unit|threading|batch|fleet'
 run_perf_gate
 
 echo "==> all flavours green (perf gate: ${PERF_STATUS})"

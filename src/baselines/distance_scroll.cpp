@@ -16,12 +16,14 @@ DistanceScroll::DistanceScroll(Config config, sim::Rng rng)
   reset(1, 0);
 }
 
-ControlSpec DistanceScroll::spec() const {
+ControlSpec DistanceScroll::spec() const { return spec(config_); }
+
+ControlSpec DistanceScroll::spec(const Config& config) {
   ControlSpec spec;
   spec.style = ControlStyle::AbsolutePosition;
   spec.u_min = 2.0;
   spec.u_max = 40.0;
-  spec.u_neutral = (config_.islands.near.value + config_.islands.far.value) / 2.0;
+  spec.u_neutral = (config.islands.near.value + config.islands.far.value) / 2.0;
   spec.unit = "cm";
   return spec;
 }
@@ -57,25 +59,37 @@ void DistanceScroll::on_control(util::Seconds now, double u) {
   if (update.menu_index) cursor_ = std::min(*update.menu_index, level_size_ - 1);
 }
 
-std::size_t DistanceScroll::island_of_menu_index(std::size_t menu_index) const {
-  if (config_.scroll.direction == core::ScrollDirection::TowardUserScrollsDown) {
-    return level_size_ - 1 - menu_index;
+std::size_t DistanceScroll::island_of_menu_index(const Config& config, std::size_t level_size,
+                                                 std::size_t menu_index) {
+  if (config.scroll.direction == core::ScrollDirection::TowardUserScrollsDown) {
+    return level_size - 1 - menu_index;
   }
   return menu_index;
 }
 
 std::optional<double> DistanceScroll::target_u(std::size_t target) const {
-  if (target >= level_size_) return std::nullopt;
-  return mapper_.centre_distance(island_of_menu_index(target)).value;
+  return target_u(config_, mapper_, level_size_, target);
+}
+
+std::optional<double> DistanceScroll::target_u(const Config& config,
+                                               const core::IslandMapper& mapper,
+                                               std::size_t level_size, std::size_t target) {
+  if (target >= level_size) return std::nullopt;
+  return mapper.centre_distance(island_of_menu_index(config, level_size, target)).value;
 }
 
 double DistanceScroll::target_width_u(std::size_t target) const {
-  if (target >= level_size_) return 0.1;
-  const auto& island = mapper_.islands()[island_of_menu_index(target)];
+  return target_width_u(config_, mapper_, level_size_, target);
+}
+
+double DistanceScroll::target_width_u(const Config& config, const core::IslandMapper& mapper,
+                                      std::size_t level_size, std::size_t target) {
+  if (target >= level_size) return 0.1;
+  const auto& island = mapper.islands()[island_of_menu_index(config, level_size, target)];
   // Convert the island's count bounds back to distances; the width in cm
   // is what the user must hit.
-  const double d_low = config_.curve.distance_at(util::AdcCounts{island.high}).value;
-  const double d_high = config_.curve.distance_at(util::AdcCounts{island.low}).value;
+  const double d_low = config.curve.distance_at(util::AdcCounts{island.high}).value;
+  const double d_high = config.curve.distance_at(util::AdcCounts{island.low}).value;
   return std::max(0.05, d_high - d_low);
 }
 

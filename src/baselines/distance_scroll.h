@@ -40,7 +40,20 @@ class DistanceScroll final : public ScrollTechnique {
   [[nodiscard]] std::optional<double> target_u(std::size_t target) const override;
   [[nodiscard]] double target_width_u(std::size_t target) const override;
   /// Gross arm movement + one thumb button: nearly glove-insensitive.
-  [[nodiscard]] double glove_sensitivity() const override { return 0.15; }
+  [[nodiscard]] double glove_sensitivity() const override { return kGloveSensitivity; }
+
+  // The channel's geometry as functions of a session's config, island
+  // table and level size. The members above answer with them, and a
+  // study::BatchSessionKernel lane, which has no technique object, is
+  // driven through them too.
+  static constexpr double kGloveSensitivity = 0.15;
+  [[nodiscard]] static ControlSpec spec(const Config& config);
+  [[nodiscard]] static std::optional<double> target_u(const Config& config,
+                                                      const core::IslandMapper& mapper,
+                                                      std::size_t level_size, std::size_t target);
+  [[nodiscard]] static double target_width_u(const Config& config,
+                                             const core::IslandMapper& mapper,
+                                             std::size_t level_size, std::size_t target);
 
   [[nodiscard]] const core::IslandMapper& mapper() const { return mapper_; }
 
@@ -49,7 +62,9 @@ class DistanceScroll final : public ScrollTechnique {
   /// planner integrates the hand position: the one schedule both
   /// on_control and reads_control_at follow.
   [[nodiscard]] bool tick_due(double now_s) const { return !(now_s < next_tick_s_); }
-  [[nodiscard]] std::size_t island_of_menu_index(std::size_t menu_index) const;
+  [[nodiscard]] static std::size_t island_of_menu_index(const Config& config,
+                                                        std::size_t level_size,
+                                                        std::size_t menu_index);
 
   Config config_;
   sim::Rng rng_;

@@ -9,6 +9,7 @@
 #include "baselines/radial_scroll.h"
 #include "baselines/tilt_scroll.h"
 #include "baselines/wheel_scroll.h"
+#include "human/absolute_reach.h"
 #include "human/fitts.h"
 #include "human/hand_model.h"
 
@@ -61,25 +62,8 @@ class DelayedPerception {
   std::size_t size_ = 0;
 };
 
-/// Counts sign changes of (cursor - target): each full crossing is an
-/// overshoot.
-class OvershootCounter {
- public:
-  explicit OvershootCounter(long target) : target_(target) {}
-
-  void observe(long cursor) {
-    const int sign = cursor > target_ ? 1 : (cursor < target_ ? -1 : 0);
-    if (sign != 0 && last_sign_ != 0 && sign != last_sign_) ++count_;
-    if (sign != 0) last_sign_ = sign;
-  }
-
-  [[nodiscard]] int count() const { return count_; }
-
- private:
-  long target_;
-  int last_sign_ = 0;
-  int count_ = 0;
-};
+/// The commit press of the styles that leave the channel alone during it.
+constexpr auto kNoHold = [](double, double) {};
 
 /// Run `body` on the technique as its `Final` type when it is one (the
 /// per-step calls inside are then direct), else on the base class.
@@ -91,22 +75,15 @@ AcquisitionOutcome as_final(baselines::ScrollTechnique& t, Body&& body) {
 
 }  // namespace
 
-double MotionPlanner::effective_fine_penalty(const baselines::ScrollTechnique& t,
-                                             const UserProfile& p) {
-  return 1.0 + (p.fine_motor_penalty - 1.0) * t.glove_sensitivity();
-}
-
-double MotionPlanner::effective_miss_probability(const baselines::ScrollTechnique& t,
-                                                 const UserProfile& p) {
-  return std::min(0.7, p.button_miss_probability * t.glove_sensitivity());
-}
-
 AcquisitionOutcome MotionPlanner::acquire(baselines::ScrollTechnique& technique,
                                           std::size_t target, const UserProfile& profile) {
-  const long start = static_cast<long>(technique.cursor());
+  const std::size_t start = technique.cursor();
   // One type test per trial picks the devirtualized instantiation of the
   // step loop; any other technique runs the same body through the base.
-  const auto absolute = [&](auto& t) { return run_absolute(t, target, profile); };
+  const auto absolute = [&](auto& t) {
+    TechniqueChannel channel(t);
+    return acquire_absolute(channel, target, profile, rng_, config_);
+  };
   const auto rate = [&](auto& t) { return run_rate(t, target, profile); };
   const auto unbounded = [&](auto& t) { return run_unbounded(t, target, profile); };
   AcquisitionOutcome outcome;
@@ -127,112 +104,7 @@ AcquisitionOutcome MotionPlanner::acquire(baselines::ScrollTechnique& technique,
       outcome = run_discrete(technique, target, profile);
       break;
   }
-  outcome.id_bits =
-      std::log2(std::abs(start - static_cast<long>(target)) + 1.0);
-  return outcome;
-}
-
-template <class Technique>
-bool MotionPlanner::commit_selection(Technique& t, std::size_t target, const UserProfile& p,
-                                     double hold_u, bool feed_control,
-                                     AcquisitionOutcome& outcome) {
-  const double penalty = effective_fine_penalty(t, p);
-  const double press_time = p.button_press_s * penalty;
-  // Press slips entirely with the glove-scaled miss probability.
-  if (rng_.bernoulli(effective_miss_probability(t, p))) {
-    outcome.time_s += press_time * 1.5;  // failed press + noticing
-    return false;
-  }
-  // Holding the channel steady during the press: tremor may push an
-  // absolute channel across an island boundary mid-press. The tremor
-  // stream advances at every step; the hand position is synthesized only
-  // where the technique reads it.
-  if (feed_control) {
-    Tremor tremor(p.tremor, rng_.fork(777));
-    const double t0 = outcome.time_s;
-    for (double dt = 0.0; dt < press_time; dt += config_.dt_s) {
-      const double now = t0 + dt;
-      tremor.advance(now);
-      if (t.reads_control_at(now)) t.on_control(util::Seconds{now}, hold_u + tremor.value_at(now));
-    }
-  }
-  outcome.time_s += press_time;
-  if (t.cursor() != target) {
-    ++outcome.wrong_selections;
-    return false;
-  }
-  return true;
-}
-
-template <class Technique>
-AcquisitionOutcome MotionPlanner::run_absolute(Technique& t, std::size_t target,
-                                               const UserProfile& p) {
-  AcquisitionOutcome outcome;
-  const auto spec = t.spec();
-  const auto maybe_target_u = t.target_u(target);
-  if (!maybe_target_u) return outcome;
-  const double goal_u = *maybe_target_u;
-  const double width_u = t.target_width_u(target);
-
-  Tremor tremor(p.tremor, rng_.fork(1));
-  OvershootCounter overshoots(static_cast<long>(target));
-  double u = spec.u_neutral;
-  double now = 0.0;
-  bool first_move = true;
-
-  while (now < config_.timeout_s) {
-    // Aim with amplitude-proportional scatter; corrective movements aim
-    // tighter (shorter amplitude => smaller sigma by Schmidt's law).
-    const double amplitude = std::abs(goal_u - u);
-    const double sigma = p.aim_w0_cm + p.aim_w1 * amplitude;
-    double aim = goal_u + rng_.gaussian(0.0, sigma);
-    aim = std::clamp(aim, spec.u_min, spec.u_max);
-    const util::Seconds reach_time = movement_time(p.reach_fitts, amplitude, width_u);
-
-    if (!first_move) ++outcome.corrective_movements;
-    first_move = false;
-
-    // Execute the reach. The tremor stream advances at every planner
-    // step (its draws stay in step with time); the hand position is
-    // synthesized and fed only at steps the technique reads.
-    const double t0 = now;
-    const double u0 = u;
-    while (now < t0 + reach_time.value) {
-      tremor.advance(now);
-      if (t.reads_control_at(now)) {
-        t.on_control(util::Seconds{now},
-                     min_jerk(u0, aim, now - t0, reach_time.value) + tremor.value_at(now));
-      }
-      overshoots.observe(static_cast<long>(t.cursor()));
-      now += config_.dt_s;
-    }
-    u = aim;
-
-    // Settle & perceive: hold, then check after the reaction time.
-    const double dwell = p.reaction_time_s + config_.settle_dwell_s;
-    const double s0 = now;
-    while (now < s0 + dwell) {
-      tremor.advance(now);
-      if (t.reads_control_at(now)) t.on_control(util::Seconds{now}, u + tremor.value_at(now));
-      overshoots.observe(static_cast<long>(t.cursor()));
-      now += config_.dt_s;
-    }
-
-    if (t.cursor() == target) {
-      // Verify the label, then commit.
-      now += p.verification_time_s;
-      outcome.time_s = now;
-      if (commit_selection(t, target, p, u, /*feed_control=*/true, outcome)) {
-        outcome.success = true;
-        outcome.overshoots = overshoots.count();
-        return outcome;
-      }
-      now = outcome.time_s;
-      continue;  // slipped or drifted: re-settle and retry
-    }
-  }
-  outcome.time_s = now;
-  outcome.overshoots = overshoots.count();
+  outcome.id_bits = scroll_id_bits(start, target);
   return outcome;
 }
 
@@ -243,7 +115,7 @@ AcquisitionOutcome MotionPlanner::run_rate(Technique& t, std::size_t target,
   const auto spec = t.spec();
   DelayedPerception perception(p.reaction_time_s);
   OvershootCounter overshoots(static_cast<long>(target));
-  const double penalty = effective_fine_penalty(t, p);
+  const double penalty = effective_fine_penalty(t.glove_sensitivity(), p);
 
   double u = spec.u_neutral;
   double now = 0.0;
@@ -274,7 +146,7 @@ AcquisitionOutcome MotionPlanner::run_rate(Technique& t, std::size_t target,
       if (now - on_target_since >= config_.settle_dwell_s + p.reaction_time_s) {
         now += p.verification_time_s;
         outcome.time_s = now;
-        if (commit_selection(t, target, p, u, /*feed_control=*/false, outcome)) {
+        if (commit_selection(t, target, p, rng_, outcome, kNoHold)) {
           outcome.success = true;
           outcome.overshoots = overshoots.count();
           return outcome;
@@ -307,7 +179,7 @@ AcquisitionOutcome MotionPlanner::run_stroke(baselines::ScrollTechnique& t, std:
     if (err == 0) {
       now += p.verification_time_s;
       outcome.time_s = now;
-      if (commit_selection(t, target, p, 0.0, /*feed_control=*/false, outcome)) {
+      if (commit_selection(t, target, p, rng_, outcome, kNoHold)) {
         outcome.success = true;
         outcome.overshoots = overshoots.count();
         return outcome;
@@ -361,7 +233,7 @@ AcquisitionOutcome MotionPlanner::run_unbounded(Technique& t, std::size_t target
   const auto spec = t.spec();
   DelayedPerception perception(p.reaction_time_s);
   OvershootCounter overshoots(static_cast<long>(target));
-  const double penalty = effective_fine_penalty(t, p);
+  const double penalty = effective_fine_penalty(t.glove_sensitivity(), p);
   // Thick gloves on a touch surface: gestures intermittently fail to
   // register at all.
   const double dropout_per_s = (p.glove == Glove::Thick) ? 0.8 : (p.glove == Glove::Thin ? 0.1 : 0.0);
@@ -398,7 +270,7 @@ AcquisitionOutcome MotionPlanner::run_unbounded(Technique& t, std::size_t target
       if (now - on_target_since >= config_.settle_dwell_s + p.reaction_time_s) {
         now += p.verification_time_s;
         outcome.time_s = now;
-        if (commit_selection(t, target, p, u, /*feed_control=*/false, outcome)) {
+        if (commit_selection(t, target, p, rng_, outcome, kNoHold)) {
           outcome.success = true;
           outcome.overshoots = overshoots.count();
           return outcome;
@@ -421,8 +293,8 @@ AcquisitionOutcome MotionPlanner::run_discrete(baselines::ScrollTechnique& t, st
   AcquisitionOutcome outcome;
   auto* buttons = dynamic_cast<baselines::ButtonScroll*>(&t);
   OvershootCounter overshoots(static_cast<long>(target));
-  const double penalty = effective_fine_penalty(t, p);
-  const double miss_p = effective_miss_probability(t, p);
+  const double penalty = effective_fine_penalty(t.glove_sensitivity(), p);
+  const double miss_p = effective_miss_probability(t.glove_sensitivity(), p);
 
   double now = 0.0;
   while (now < config_.timeout_s) {
@@ -430,7 +302,7 @@ AcquisitionOutcome MotionPlanner::run_discrete(baselines::ScrollTechnique& t, st
     if (err == 0) {
       now += p.verification_time_s;
       outcome.time_s = now;
-      if (commit_selection(t, target, p, 0.0, /*feed_control=*/false, outcome)) {
+      if (commit_selection(t, target, p, rng_, outcome, kNoHold)) {
         outcome.success = true;
         outcome.overshoots = overshoots.count();
         return outcome;

@@ -10,6 +10,10 @@
 // experiment runs through this planner.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
+#include <cstdlib>
+
 #include "baselines/scroll_technique.h"
 #include "human/user_profile.h"
 #include "sim/random.h"
@@ -26,6 +30,11 @@ struct AcquisitionOutcome {
 
   friend bool operator==(const AcquisitionOutcome&, const AcquisitionOutcome&) = default;
 };
+
+/// AcquisitionOutcome::id_bits of a trial from `start` to `target`.
+[[nodiscard]] inline double scroll_id_bits(std::size_t start, std::size_t target) {
+  return std::log2(std::abs(static_cast<long>(start) - static_cast<long>(target)) + 1.0);
+}
 
 class MotionPlanner {
  public:
@@ -50,9 +59,9 @@ class MotionPlanner {
   // motion_planner.cpp: acquire() instantiates them once for each
   // `final` technique it dispatches to (direct, inlinable per-step
   // calls) and once for the ScrollTechnique base (every other
-  // technique, through the vtable). One body serves both.
-  template <class Technique>
-  AcquisitionOutcome run_absolute(Technique& t, std::size_t target, const UserProfile& p);
+  // technique, through the vtable). One body serves both. The
+  // absolute-position loop is human::acquire_absolute
+  // (absolute_reach.h), which the batched trial runner shares.
   template <class Technique>
   AcquisitionOutcome run_rate(Technique& t, std::size_t target, const UserProfile& p);
   AcquisitionOutcome run_stroke(baselines::ScrollTechnique& t, std::size_t target,
@@ -61,18 +70,6 @@ class MotionPlanner {
   AcquisitionOutcome run_unbounded(Technique& t, std::size_t target, const UserProfile& p);
   AcquisitionOutcome run_discrete(baselines::ScrollTechnique& t, std::size_t target,
                                   const UserProfile& p);
-
-  /// Commit phase: press select while keeping the channel steady;
-  /// returns false (and charges time) on slips/off-target presses.
-  template <class Technique>
-  bool commit_selection(Technique& t, std::size_t target, const UserProfile& p, double hold_u,
-                        bool feed_control, AcquisitionOutcome& outcome);
-
-  /// Effective glove factors for this technique.
-  static double effective_fine_penalty(const baselines::ScrollTechnique& t,
-                                       const UserProfile& p);
-  static double effective_miss_probability(const baselines::ScrollTechnique& t,
-                                           const UserProfile& p);
 
   Config config_;
   sim::Rng rng_;

@@ -8,11 +8,7 @@
 namespace distscroll::study {
 
 void BatchSessionKernel::begin_group(std::size_t lanes) {
-  // Shrink-free resize: lane slots (and their member vectors/optionals)
-  // keep capacity across groups, so a warmed kernel re-groups without
-  // touching the heap. The mapper cache deliberately survives: tables
-  // are pure functions of (curve, entries, config).
-  lanes_.resize(lanes);
+  if (lanes_.size() < lanes) lanes_.resize(lanes);
 }
 
 const core::IslandMapper* BatchSessionKernel::cached_mapper(
@@ -64,42 +60,8 @@ void BatchSessionKernel::reset_lane(std::size_t lane, std::size_t level_size,
   L.next_tick_s = 0.0;
 }
 
-baselines::ControlSpec BatchSessionKernel::spec(std::size_t lane) const {
-  const Lane& L = lanes_[lane];
-  baselines::ControlSpec spec;
-  spec.style = baselines::ControlStyle::AbsolutePosition;
-  spec.u_min = 2.0;
-  spec.u_max = 40.0;
-  spec.u_neutral = (L.config.islands.near.value + L.config.islands.far.value) / 2.0;
-  spec.unit = "cm";
-  return spec;
-}
-
-std::size_t BatchSessionKernel::island_of_menu_index(const Lane& lane,
-                                                     std::size_t menu_index) const {
-  if (lane.config.scroll.direction == core::ScrollDirection::TowardUserScrollsDown) {
-    return lane.level_size - 1 - menu_index;
-  }
-  return menu_index;
-}
-
-std::optional<double> BatchSessionKernel::target_u(std::size_t lane, std::size_t target) const {
-  const Lane& L = lanes_[lane];
-  if (target >= L.level_size) return std::nullopt;
-  return L.mapper->centre_distance(island_of_menu_index(L, target)).value;
-}
-
-double BatchSessionKernel::target_width_u(std::size_t lane, std::size_t target) const {
-  const Lane& L = lanes_[lane];
-  if (target >= L.level_size) return 0.1;
-  const auto& island = L.mapper->islands()[island_of_menu_index(L, target)];
-  const double d_low = L.config.curve.distance_at(util::AdcCounts{island.high}).value;
-  const double d_high = L.config.curve.distance_at(util::AdcCounts{island.low}).value;
-  return std::max(0.05, d_high - d_low);
-}
-
 void BatchSessionKernel::begin_block(std::size_t lane) {
-  block_ = {&lanes_[lane], false, 0};
+  block_ = {&lanes_[lane], 0};
   remeasured_.clear();
   tick_u_.clear();
 }
@@ -108,10 +70,9 @@ std::span<const std::uint32_t> BatchSessionKernel::end_block() {
   Lane& L = *block_.lane;
   const std::size_t ticks = tick_u_.size();
   const std::size_t remeasures = block_.remeasures;
-  const std::size_t lead = block_.lead_in ? 1 : 0;
   sensor_noise_.resize(remeasures);
   adc_noise_.resize(ticks);
-  cursors_.resize(lead + ticks);
+  cursors_.resize(ticks);
 
   DS_HOT_BEGIN
   // --- noise stage: one fill per stream. fill_gaussian consumes the
@@ -121,8 +82,8 @@ std::span<const std::uint32_t> BatchSessionKernel::end_block() {
                              L.config.sensor.output_noise_volts);
   L.adc_rng.fill_gaussian({adc_noise_.data(), ticks}, 0.0, L.config.adc_noise_lsb);
 
-  // --- sensor + ADC, then LUT + FSM, per tick: expression shapes mirror
-  // Gp2d120Model::remeasure and DistanceScroll::on_control exactly. The
+  // --- sensor + ADC, then LUT + FSM, per tick: expression shapes equal
+  // Gp2d120Model::remeasure's and DistanceScroll::on_control's. The
   // FSM is sequential by nature (each sample's hysteresis depends on
   // the previous selection).
   const double refl_shift = (sensors::SurfaceProfile{}.reflectivity - 1.0) *
@@ -131,7 +92,6 @@ std::span<const std::uint32_t> BatchSessionKernel::end_block() {
   const std::size_t last = L.level_size - 1;
   double held = L.held_volts;
   std::size_t cursor = L.cursor;
-  if (lead != 0) cursors_[0] = static_cast<std::uint32_t>(cursor);
   std::size_t m = 0;
   for (std::size_t j = 0; j < ticks; ++j) {
     if (remeasured_[j]) {
@@ -145,7 +105,7 @@ std::span<const std::uint32_t> BatchSessionKernel::end_block() {
     const auto sampled = static_cast<std::uint16_t>(std::lround(counts));
     const auto update = L.controller->on_sample(util::AdcCounts{sampled});
     if (update.menu_index) cursor = std::min(*update.menu_index, last);
-    cursors_[lead + j] = static_cast<std::uint32_t>(cursor);
+    cursors_[j] = static_cast<std::uint32_t>(cursor);
   }
   L.held_volts = held;
   L.cursor = cursor;

@@ -1,4 +1,5 @@
-// Batched DistScroll session kernel (ROADMAP item 2).
+// Batched DistScroll session kernel: the data plane of the batched
+// trial path (ROADMAP item 2).
 //
 // Advances N device sessions — lanes — through the full sensing chain:
 // distance samples through the Gp2d120 transfer curve with gaussian
@@ -12,13 +13,18 @@
 // RNG fill per stream, then sweeps the numeric stages over the staged
 // ticks instead of re-entering the scalar virtual-call chain per step.
 //
-// The scalar path (baselines::DistanceScroll driven sample-by-sample by
-// human::MotionPlanner) stays the reference implementation. The kernel
-// is pinned BIT-IDENTICAL to it over the full sweep-config suite by
-// tests/batch_test.cpp, the same way pooled == fresh sessions were
-// pinned in the device-pool PR. Two contracts make that possible:
+// It is the data plane behind a channel and knows nothing of the
+// participant. The hand that feeds it is human::acquire_absolute
+// (absolute_reach.h), the one planner body the scalar path runs on a
+// DistanceScroll; BatchTrialRunner adapts a lane into that body's
+// channel, and the lane's geometry (control range, target position and
+// width, glove sensitivity) comes from DistanceScroll's own static
+// functions of the lane's config, island table and level size. What is
+// left to match the scalar technique is the sensing chain, which
+// tests/batch_test.cpp pins BIT-IDENTICAL over the full sweep-config
+// suite. Two contracts make that possible:
 //
-//  * every FP expression mirrors the scalar code shape exactly (same
+//  * the sensor/ADC/LUT expressions have the scalar code's shape (same
 //    operations, same order; the build compiles ISO C++ with FP
 //    contraction off, so identical op sequences give identical bits);
 //  * all pre-drawn noise goes through sim::Rng::fill_gaussian, whose
@@ -56,17 +62,13 @@ static_assert(sensors::SurfaceProfile{}.specular_glitch_probability == 0.0,
 
 class BatchSessionKernel {
  public:
-  /// DistanceScroll::glove_sensitivity() — the batched trial driver
-  /// needs it without a technique object; pinned equal by batch_test.
-  static constexpr double kGloveSensitivity = 0.15;
-
-  /// Drop all lanes and start a fresh group of `lanes` sessions. The
-  /// island-table cache persists (tables are pure functions of their
-  /// key); lane slots and scratch keep their capacity, so a warmed
-  /// kernel re-groups without allocating.
+  /// Start a fresh group of `lanes` sessions (each still to be bound by
+  /// init_lane). Lane slots are never freed: a group smaller than an
+  /// earlier one leaves the trailing slots in place, so a warmed kernel
+  /// re-groups at any size up to its largest without allocating. The
+  /// island-table cache persists too (tables are pure functions of
+  /// their key).
   void begin_group(std::size_t lanes);
-
-  [[nodiscard]] std::size_t lanes() const { return lanes_.size(); }
 
   /// Lane <- a fresh session, mirroring DistanceScroll(config, rng):
   /// the sensor stream forks off tag 1, the ADC stream is the technique
@@ -80,12 +82,17 @@ class BatchSessionKernel {
   /// controller FSM, places the cursor.
   void reset_lane(std::size_t lane, std::size_t level_size, std::size_t start_index);
 
-  // --- scalar-interface mirrors the trial driver needs -------------------
+  // --- lane state the trial driver reads -------------------------------
+  /// The cursor as of the last end_block(): inside an open block it is
+  /// still the cursor from before the block.
   [[nodiscard]] std::size_t cursor(std::size_t lane) const { return lanes_[lane].cursor; }
   [[nodiscard]] std::size_t level_size(std::size_t lane) const { return lanes_[lane].level_size; }
-  [[nodiscard]] baselines::ControlSpec spec(std::size_t lane) const;
-  [[nodiscard]] std::optional<double> target_u(std::size_t lane, std::size_t target) const;
-  [[nodiscard]] double target_width_u(std::size_t lane, std::size_t target) const;
+  [[nodiscard]] const baselines::DistanceScroll::Config& config(std::size_t lane) const {
+    return lanes_[lane].config;
+  }
+  [[nodiscard]] const core::IslandMapper& mapper(std::size_t lane) const {
+    return *lanes_[lane].mapper;
+  }
 
   /// One control phase of one lane, fed step by step:
   ///
@@ -98,20 +105,13 @@ class BatchSessionKernel {
   /// sample-and-hold schedule, so the caller computes the hand position
   /// only where the firmware reads it. end_block() runs noise,
   /// sensor/ADC and LUT/FSM over the staged ticks and returns the
-  /// cursor sequence the dense steps observe with repeats dropped: the
-  /// cursor from before the block when steps precede the first tick
-  /// (nothing changes it until a tick), then the cursor after each
-  /// tick. Sign-change counts over it equal those over the dense
-  /// sequence. Allocation-free once scratch is warm
-  /// (DS_ASSERT_NO_ALLOC-pinned).
+  /// cursor after each tick, in tick order. Allocation-free once
+  /// scratch is warm (DS_ASSERT_NO_ALLOC-pinned).
   void begin_block(std::size_t lane);
 
   [[nodiscard]] bool tick(double now_s) {
     Lane& L = *block_.lane;
-    if (now_s < L.next_tick_s) {
-      block_.lead_in |= remeasured_.empty();
-      return false;
-    }
+    if (now_s < L.next_tick_s) return false;
     L.next_tick_s = now_s + L.config.firmware_tick.value;
     std::uint8_t remeasure = 0;
     if (!L.ever_measured || now_s >= L.next_measurement_s) {
@@ -153,11 +153,10 @@ class BatchSessionKernel {
     std::size_t cursor = 0;
   };
 
-  [[nodiscard]] std::size_t island_of_menu_index(const Lane& lane, std::size_t menu_index) const;
   const core::IslandMapper* cached_mapper(const baselines::DistanceScroll::Config& config,
                                           std::size_t entries);
 
-  std::vector<Lane> lanes_;
+  std::vector<Lane> lanes_;  // every slot ever used; only grows
 
   // Island-table cache, keyed on everything rebuild() reads. unique_ptr
   // slots: controllers hold the mapper by address, so entries must not
@@ -175,7 +174,6 @@ class BatchSessionKernel {
   // staged ticks.
   struct Block {
     Lane* lane = nullptr;
-    bool lead_in = false;  // a step preceded the first tick
     std::size_t remeasures = 0;
   };
   Block block_;
@@ -186,7 +184,7 @@ class BatchSessionKernel {
   std::vector<double> tick_u_;             // per tick: staged hand position
   std::vector<double> sensor_noise_;       // per remeasure, pre-drawn
   std::vector<double> adc_noise_;          // per tick, pre-drawn
-  std::vector<std::uint32_t> cursors_;     // end_block()'s observations
+  std::vector<std::uint32_t> cursors_;     // per tick: end_block()'s cursors
 };
 
 }  // namespace distscroll::study

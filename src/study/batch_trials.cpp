@@ -1,44 +1,56 @@
 #include "study/batch_trials.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
+#include <optional>
 
-#include "human/fitts.h"
-#include "human/hand_model.h"
+#include "human/absolute_reach.h"
 #include "obs/stage_timer.h"
+#include "study/trial.h"
 
 namespace distscroll::study {
 
 namespace {
 
-/// Counts sign changes of (cursor - target) — replica of the planner's
-/// file-local OvershootCounter. It observes the kernel's block
-/// observations, which are the scalar loop's per-step cursor sequence
-/// with repeats dropped, so the count is the same.
-class OvershootCounter {
+/// One kernel lane as a human::acquire_absolute channel: a control
+/// phase is one kernel block, and the cursors after its ticks are
+/// observed when the block closes. The geometry is DistanceScroll's,
+/// evaluated on the lane's config and island table.
+class LaneChannel {
  public:
-  explicit OvershootCounter(long target) : target_(target) {}
+  LaneChannel(BatchSessionKernel& kernel, std::size_t lane) : kernel_(kernel), lane_(lane) {}
 
-  void observe(long cursor) {
-    const int sign = cursor > target_ ? 1 : (cursor < target_ ? -1 : 0);
-    if (sign != 0 && last_sign_ != 0 && sign != last_sign_) ++count_;
-    if (sign != 0) last_sign_ = sign;
+  [[nodiscard]] baselines::ControlSpec spec() const {
+    return baselines::DistanceScroll::spec(kernel_.config(lane_));
   }
+  [[nodiscard]] std::optional<double> target_u(std::size_t target) const {
+    return baselines::DistanceScroll::target_u(kernel_.config(lane_), kernel_.mapper(lane_),
+                                               kernel_.level_size(lane_), target);
+  }
+  [[nodiscard]] double target_width_u(std::size_t target) const {
+    return baselines::DistanceScroll::target_width_u(kernel_.config(lane_), kernel_.mapper(lane_),
+                                                     kernel_.level_size(lane_), target);
+  }
+  [[nodiscard]] static double glove_sensitivity() {
+    return baselines::DistanceScroll::kGloveSensitivity;
+  }
+  [[nodiscard]] std::size_t cursor() const { return kernel_.cursor(lane_); }
 
-  [[nodiscard]] int count() const { return count_; }
+  void begin_phase() { kernel_.begin_block(lane_); }
+  [[nodiscard]] bool tick(double now_s) { return kernel_.tick(now_s); }
+  template <class Observe>
+  void stage(double /*now_s*/, double u, Observe&& /*observe*/) {
+    kernel_.stage(u);
+  }
+  template <class Observe>
+  void end_phase(Observe&& observe) {
+    for (const std::uint32_t cursor : kernel_.end_block()) observe(cursor);
+  }
 
  private:
-  long target_;
-  int last_sign_ = 0;
-  int count_ = 0;
+  BatchSessionKernel& kernel_;
+  std::size_t lane_;
 };
-
-/// Close the kernel's open block and count its cursor observations.
-void observe_block(BatchSessionKernel& kernel, OvershootCounter& overshoots) {
-  for (const std::uint32_t cursor : kernel.end_block()) {
-    overshoots.observe(static_cast<long>(cursor));
-  }
-}
 
 }  // namespace
 
@@ -49,8 +61,10 @@ BatchTrialRunner& BatchTrialRunner::local() {
 
 void BatchTrialRunner::begin_group(std::size_t lanes) {
   kernel_.begin_group(lanes);
-  cells_.resize(lanes);
-  for (Cell& cell : cells_) {
+  if (cells_.size() < lanes) cells_.resize(lanes);
+  group_cells_ = lanes;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    Cell& cell = cells_[lane];
     cell.active = false;
     cell.tasks.clear();    // keeps capacity
     cell.records.clear();  // keeps capacity
@@ -74,16 +88,17 @@ void BatchTrialRunner::init_cell(std::size_t lane,
 }
 
 void BatchTrialRunner::run() {
+  const std::span<Cell> cells(cells_.data(), group_cells_);
   std::size_t max_trials = 0;
-  for (const Cell& cell : cells_) {
+  for (const Cell& cell : cells) {
     if (cell.active) max_trials = std::max(max_trials, cell.tasks.size());
   }
   // Lockstep at trial granularity: trial t of every lane before trial
   // t+1 of any — the lanes' session state stays resident in the kernel
   // across rounds, which is what the state-isolation tests exercise.
   for (std::size_t t = 0; t < max_trials; ++t) {
-    for (std::size_t lane = 0; lane < cells_.size(); ++lane) {
-      Cell& cell = cells_[lane];
+    for (std::size_t lane = 0; lane < cells.size(); ++lane) {
+      Cell& cell = cells[lane];
       if (!cell.active || t >= cell.tasks.size()) continue;
       // run_trials forks the trial planner stream off the trial index.
       cell.records.push_back(run_one_trial(lane, cell, cell.tasks[t], cell.trials_rng.fork(t)));
@@ -97,120 +112,12 @@ TrialRecord BatchTrialRunner::run_one_trial(std::size_t lane, const Cell& cell,
     DS_STAGE(TrialSetup);  // lane reset, as the scalar technique.reset()
     kernel_.reset_lane(lane, task.level_size, task.start_index);
   }
-  TrialRecord record;
-  // MotionPlanner::acquire: start cursor before the run, ID bits after.
-  const long start = static_cast<long>(kernel_.cursor(lane));
-  record.outcome = acquire_absolute(lane, task.target_index, cell.profile, rng, cell.planner);
-  record.outcome.id_bits =
-      std::log2(std::abs(start - static_cast<long>(task.target_index)) + 1.0);
-  record.level_size = task.level_size;
-  record.scroll_distance = task.target_index > task.start_index
-                               ? task.target_index - task.start_index
-                               : task.start_index - task.target_index;
-  return record;
-}
-
-human::AcquisitionOutcome BatchTrialRunner::acquire_absolute(
-    std::size_t lane, std::size_t target, const human::UserProfile& p, sim::Rng& rng,
-    const human::MotionPlanner::Config& cfg) {
-  human::AcquisitionOutcome outcome;
-  const auto spec = kernel_.spec(lane);
-  const auto maybe_target_u = kernel_.target_u(lane, target);
-  if (!maybe_target_u) return outcome;
-  const double goal_u = *maybe_target_u;
-  const double width_u = kernel_.target_width_u(lane, target);
-
-  human::Tremor tremor(p.tremor, rng.fork(1));
-  OvershootCounter overshoots(static_cast<long>(target));
-  double u = spec.u_neutral;
-  double now = 0.0;
-  bool first_move = true;
-
-  while (now < cfg.timeout_s) {
-    const double amplitude = std::abs(goal_u - u);
-    const double sigma = p.aim_w0_cm + p.aim_w1 * amplitude;
-    double aim = goal_u + rng.gaussian(0.0, sigma);
-    aim = std::clamp(aim, spec.u_min, spec.u_max);
-    const util::Seconds reach_time = human::movement_time(p.reach_fitts, amplitude, width_u);
-
-    if (!first_move) ++outcome.corrective_movements;
-    first_move = false;
-
-    // Reach: one fused pass over the dense steps with the scalar loop's
-    // exact FP accumulation (now += dt inside the same-shaped while).
-    // Every step advances the tremor's cycle draw, so its stream is
-    // consumed as before; the hand position is computed only at the
-    // firmware ticks, the only steps on_control does not discard.
-    const double t0 = now;
-    const double u0 = u;
-    kernel_.begin_block(lane);
-    while (now < t0 + reach_time.value) {
-      tremor.advance(now);
-      if (kernel_.tick(now)) {
-        kernel_.stage(human::min_jerk(u0, aim, now - t0, reach_time.value) +
-                      tremor.value_at(now));
-      }
-      now += cfg.dt_s;
-    }
-    observe_block(kernel_, overshoots);
-    u = aim;
-
-    // Settle & perceive: hold, then check after the reaction time.
-    const double dwell = p.reaction_time_s + cfg.settle_dwell_s;
-    const double s0 = now;
-    kernel_.begin_block(lane);
-    while (now < s0 + dwell) {
-      tremor.advance(now);
-      if (kernel_.tick(now)) kernel_.stage(u + tremor.value_at(now));
-      now += cfg.dt_s;
-    }
-    observe_block(kernel_, overshoots);
-
-    if (kernel_.cursor(lane) == target) {
-      now += p.verification_time_s;
-      outcome.time_s = now;
-      if (commit(lane, target, p, rng, cfg, u, outcome)) {
-        outcome.success = true;
-        outcome.overshoots = overshoots.count();
-        return outcome;
-      }
-      now = outcome.time_s;
-      continue;  // slipped or drifted: re-settle and retry
-    }
-  }
-  outcome.time_s = now;
-  outcome.overshoots = overshoots.count();
-  return outcome;
-}
-
-bool BatchTrialRunner::commit(std::size_t lane, std::size_t target, const human::UserProfile& p,
-                              sim::Rng& rng, const human::MotionPlanner::Config& cfg,
-                              double hold_u, human::AcquisitionOutcome& outcome) {
-  // effective_fine_penalty / effective_miss_probability with
-  // DistScroll's glove sensitivity (pinned equal to the virtual call).
-  const double penalty =
-      1.0 + (p.fine_motor_penalty - 1.0) * BatchSessionKernel::kGloveSensitivity;
-  const double press_time = p.button_press_s * penalty;
-  if (rng.bernoulli(std::min(0.7, p.button_miss_probability *
-                                      BatchSessionKernel::kGloveSensitivity))) {
-    outcome.time_s += press_time * 1.5;  // failed press + noticing
-    return false;
-  }
-  // Holding the channel steady during the press, fed as one block.
-  human::Tremor tremor(p.tremor, rng.fork(777));
-  const double t0 = outcome.time_s;
-  kernel_.begin_block(lane);
-  for (double dt = 0.0; dt < press_time; dt += cfg.dt_s) {
-    tremor.advance(t0 + dt);
-    if (kernel_.tick(t0 + dt)) kernel_.stage(hold_u + tremor.value_at(t0 + dt));
-  }
-  (void)kernel_.end_block();
-  outcome.time_s += press_time;
-  if (kernel_.cursor(lane) != target) {
-    ++outcome.wrong_selections;
-    return false;
-  }
-  return true;
+  const std::size_t start = kernel_.cursor(lane);
+  LaneChannel channel(kernel_, lane);
+  auto outcome = human::acquire_absolute(channel, task.target_index, cell.profile, rng,
+                                         cell.planner);
+  outcome.id_bits = human::scroll_id_bits(start, task.target_index);
+  return trial_record(task, outcome);
 }
 
 }  // namespace distscroll::study

@@ -6,17 +6,15 @@
 //   baselines::DistanceScroll technique(config, technique_rng);
 //   auto records = run_trials(technique, tasks, profile, trials_rng);
 //
-// A sweep group's cells become kernel lanes; run() advances all lanes
-// in lockstep at trial granularity (lane-major within each trial
-// round), with every control phase — reach, settle, commit press —
-// executed as one block through the kernel instead of per-dt-step
-// virtual calls: one pass over the phase's dense steps advances the
-// tremor and the firmware schedule, and the hand position is computed
-// only at the firmware ticks. The planner-side arithmetic (aim
-// scatter, Fitts timing, min-jerk reach, tremor, commit slips) mirrors
-// human::MotionPlanner::run_absolute / commit_selection expression by
-// expression, reusing the same human:: primitives, so the per-trial
-// draw streams and FP sequences are exactly the scalar ones.
+// It is a lane driver. A group's cells become kernel lanes; run()
+// advances all lanes in lockstep at trial granularity (lane-major
+// within each trial round). Each trial runs human::acquire_absolute,
+// the one absolute-reach planner body MotionPlanner runs on the scalar
+// technique, on a channel that feeds the lane: every control phase
+// (reach, settle, commit press) is one kernel block, and the hand
+// position is staged only at the firmware ticks. The planner's draw
+// streams and FP sequences are therefore the scalar ones by
+// construction; the kernel's sensing chain is what batch_test pins.
 //
 // Trials within a cell stay sequential ON PURPOSE: the technique's RNG
 // streams persist across trials (reset() does not reseed), so trials
@@ -46,6 +44,8 @@ class BatchTrialRunner {
 
   /// Start a group of up to `lanes` cells. Clears previous lanes and
   /// records; keeps warmed capacity and the kernel's island-table cache.
+  /// Cell slots are never freed, so a warmed runner re-groups at any
+  /// size up to its largest without allocating.
   void begin_group(std::size_t lanes);
 
   /// Bind lane <- one sweep cell. Tasks are copied; profile/config by
@@ -78,14 +78,9 @@ class BatchTrialRunner {
 
   TrialRecord run_one_trial(std::size_t lane, const Cell& cell, const SelectionTask& task,
                             sim::Rng rng);
-  human::AcquisitionOutcome acquire_absolute(std::size_t lane, std::size_t target,
-                                             const human::UserProfile& p, sim::Rng& rng,
-                                             const human::MotionPlanner::Config& cfg);
-  bool commit(std::size_t lane, std::size_t target, const human::UserProfile& p, sim::Rng& rng,
-              const human::MotionPlanner::Config& cfg, double hold_u,
-              human::AcquisitionOutcome& outcome);
   BatchSessionKernel kernel_;
-  std::vector<Cell> cells_;
+  std::vector<Cell> cells_;     // every slot ever used; only grows
+  std::size_t group_cells_ = 0;  // slots in the current group
 };
 
 }  // namespace distscroll::study

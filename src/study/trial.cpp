@@ -7,6 +7,16 @@
 
 namespace distscroll::study {
 
+TrialRecord trial_record(const SelectionTask& task, const human::AcquisitionOutcome& outcome) {
+  TrialRecord record;
+  record.outcome = outcome;
+  record.level_size = task.level_size;
+  record.scroll_distance = task.target_index > task.start_index
+                               ? task.target_index - task.start_index
+                               : task.start_index - task.target_index;
+  return record;
+}
+
 TrialRecord run_trial(baselines::ScrollTechnique& technique, const SelectionTask& task,
                       const human::UserProfile& profile, sim::Rng rng,
                       human::MotionPlanner::Config planner_config) {
@@ -16,13 +26,7 @@ TrialRecord run_trial(baselines::ScrollTechnique& technique, const SelectionTask
     technique.reset(task.level_size, task.start_index);
     planner.emplace(planner_config, rng);
   }
-  TrialRecord record;
-  record.outcome = planner->acquire(technique, task.target_index, profile);
-  record.level_size = task.level_size;
-  record.scroll_distance = task.target_index > task.start_index
-                               ? task.target_index - task.start_index
-                               : task.start_index - task.target_index;
-  return record;
+  return trial_record(task, planner->acquire(technique, task.target_index, profile));
 }
 
 std::vector<TrialRecord> run_trials(baselines::ScrollTechnique& technique,

@@ -8,6 +8,11 @@
 
 namespace distscroll::study {
 
+/// The record of `task` acquired with `outcome`; both trial engines
+/// (run_trial and the batched BatchTrialRunner) build theirs here.
+[[nodiscard]] TrialRecord trial_record(const SelectionTask& task,
+                                       const human::AcquisitionOutcome& outcome);
+
 /// Run one selection task with one participant on one technique.
 [[nodiscard]] TrialRecord run_trial(baselines::ScrollTechnique& technique,
                                     const SelectionTask& task,

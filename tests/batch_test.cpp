@@ -5,9 +5,11 @@
 // BatchTrialRunner/BatchSessionKernel lanes produces the EXACT
 // TrialRecord bytes of the scalar reference
 // (DistanceScroll + run_trials), at any thread count and any batch
-// width — including the CSV bytes derived from them. Also pins the
-// no-allocation claim over the kernel's hot block and the
-// glove-sensitivity constant the batched trial driver inlines.
+// width — including the CSV bytes derived from them. Both paths run
+// the same planner body (human::acquire_absolute), so what this pins is
+// the kernel's sensing chain and the two channels' overshoot
+// observation. Also pins the no-allocation claims over the kernel's hot
+// block and over re-grouping a warmed runner.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -297,37 +299,36 @@ TEST(BatchKernel, BlockAllocationFreeWhenWarm) {
   EXPECT_GT(observations, 0u);  // the block did sample
 }
 
-/// The batched trial driver inlines DistScroll's glove sensitivity (no
-/// technique object to ask); pin it to the virtual call's answer.
-TEST(BatchKernel, GloveSensitivityPinnedToDistanceScroll) {
-  const baselines::DistanceScroll technique({}, sim::Rng(0));
-  EXPECT_EQ(technique.glove_sensitivity(), BatchSessionKernel::kGloveSensitivity);
-}
-
-/// Interface mirrors: spec / target_u / target_width_u answer exactly
-/// as the scalar technique for every swept config.
-TEST(BatchKernel, InterfaceMirrorsMatchScalarTechnique) {
-  for (const auto& c : sweep_suite()) {
-    baselines::DistanceScroll technique(c.config, sim::Rng(5));
-    technique.reset(c.menu, 0);
-    BatchSessionKernel kernel;
-    kernel.begin_group(1);
-    kernel.init_lane(0, c.config, sim::Rng(5));
-    kernel.reset_lane(0, c.menu, 0);
-
-    const auto scalar_spec = technique.spec();
-    const auto batch_spec = kernel.spec(0);
-    EXPECT_EQ(batch_spec.style, scalar_spec.style);
-    EXPECT_EQ(batch_spec.u_min, scalar_spec.u_min);
-    EXPECT_EQ(batch_spec.u_max, scalar_spec.u_max);
-    EXPECT_EQ(batch_spec.u_neutral, scalar_spec.u_neutral);
-    EXPECT_EQ(kernel.level_size(0), technique.level_size());
-    EXPECT_EQ(kernel.cursor(0), technique.cursor());
-    for (std::size_t target = 0; target <= c.menu; ++target) {
-      EXPECT_EQ(kernel.target_u(0, target), technique.target_u(target)) << c.name;
-      EXPECT_EQ(kernel.target_width_u(0, target), technique.target_width_u(target)) << c.name;
-    }
+/// Lane and cell slots survive a smaller group. perfbench's traced
+/// fleet run alternates 16- and 256-lane groups on one thread, and a
+/// fleet run can end on a partial block: a runner warmed at 256 lanes
+/// must bind a second 256-lane group after a 16-lane one without
+/// touching the heap.
+TEST(BatchKernel, RegroupAfterShrinkAllocationFree) {
+  if (!util::alloc_interposer_linked()) {
+    GTEST_SKIP() << "alloc interposer not linked (sanitizer build)";
   }
+  constexpr std::size_t kWide = 256;
+  constexpr std::size_t kNarrow = 16;
+  sim::Rng task_rng(7);
+  const auto tasks = random_tasks(task_rng, 10, 2);
+  const auto profile = human::UserProfile::average();
+  BatchTrialRunner runner;
+  const auto bind = [&](std::size_t lanes) {
+    runner.begin_group(lanes);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      runner.init_cell(lane, {}, sim::Rng(lane), tasks, profile, sim::Rng(1000 + lane));
+    }
+  };
+  bind(kWide);
+  runner.run();
+  bind(kNarrow);
+  runner.run();
+  DS_ASSERT_NO_ALLOC {
+    bind(kWide);
+  }
+  runner.run();
+  EXPECT_EQ(runner.records(kWide - 1).size(), tasks.size());
 }
 
 }  // namespace
