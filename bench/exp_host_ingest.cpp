@@ -12,9 +12,9 @@
 //   pass 1   timed single-thread reference with content verification —
 //            every accepted frame re-derived from its device's pure
 //            telemetry source; any mismatch fails the process
-//   pass 2,3 same fleet at 2 and 8 threads — DSTL bytes AND the
-//            metrics JSON must match the reference byte-for-byte
-//   pass 4   overload: the same fleet through starved lanes and a
+//   pass 2-4 same fleet at 2, 4 and 8 threads, timed — DSTL bytes AND
+//            the metrics JSON must match the reference byte-for-byte
+//   pass 5   overload: the same fleet through starved lanes and a
 //            shortened ARQ queue — devices must shed at the source
 //            (accepted + shed == offered exactly) with zero accepted-
 //            frame corruption; the shed fraction is host_drop_rate
@@ -22,12 +22,15 @@
 // BENCH_exp_host_ingest.json records host_frames_per_s (accepted
 // frames through the timed reference), host_drop_rate and the
 // bit-identity verdict; tools/bench_compare gates all three under
-// `ctest -L perf`. The process exit code enforces the invariants even
-// without a baseline.
+// `ctest -L perf`. It also records each multi-thread pass's accepted
+// frames/s as host_frames_per_s_t2 / _t4 / _t8 (ungated). The process
+// exit code enforces the invariants even without a baseline.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "host/host_pipeline.h"
 #include "obs/metrics.h"
@@ -90,14 +93,20 @@ int main() {
   }
   const std::string reference_metrics_json = reference_metrics.to_json_fields();
 
-  // Passes 2 and 3: the identical fleet on 2 and 8 threads — the DSTL
+  // Passes 2-4: the identical fleet on 2, 4 and 8 threads — the DSTL
   // container and the metrics JSON must be byte-equal to the reference.
   bool host_bit_identical = true;
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+  std::vector<std::pair<std::size_t, double>> frames_per_s_by_threads;
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     auto config = base_config(devices);
     config.threads = threads;
     obs::MetricsRegistry metrics;
+    const double start_s = study::sweep_wall_clock_s();
     const auto result = run_host_ingest(config, &metrics);
+    const double wall_s = study::sweep_wall_clock_s() - start_s;
+    frames_per_s_by_threads.emplace_back(
+        threads,
+        wall_s > 0.0 ? static_cast<double>(result.stats.frames_accepted) / wall_s : 0.0);
     const bool same = result.stats.complete && result.dstl == reference.dstl &&
                       metrics.to_json_fields() == reference_metrics_json;
     if (!same) {
@@ -106,7 +115,7 @@ int main() {
     }
   }
 
-  // Pass 4: overload. Starved lanes and a shortened ARQ queue force the
+  // Pass 5: overload. Starved lanes and a shortened ARQ queue force the
   // devices to shed at the source; the accounting must stay exact
   // (accepted + shed == offered) and every frame that DID land must
   // still verify against its telemetry source. Faults are off and the
@@ -146,6 +155,9 @@ int main() {
               "  crc-rejected %" PRIu64 "  residual gaps %" PRIu64 "  mismatches %" PRIu64 "\n",
               rs.link_frames_lost, rs.link_frames_corrupted, rs.link_frames_reordered,
               rs.frames_crc_rejected, rs.sequence_gaps, rs.content_mismatches);
+  for (const auto& [threads, rate] : frames_per_s_by_threads) {
+    std::printf("  %zu threads: %.0f frames/s\n", threads, rate);
+  }
   std::printf("  thread bit-identity %s, overload drop rate %.4f (%" PRIu64 " of %" PRIu64
               " offered shed at the device)\n",
               host_bit_identical ? "OK" : "DIVERGED", host_drop_rate, os.reports_shed,
@@ -169,6 +181,7 @@ int main() {
   report.host_frames_per_s = frames_per_s;
   report.host_drop_rate = host_drop_rate;
   report.host_bit_identical = host_bit_identical;
+  report.host_frames_per_s_by_threads = frames_per_s_by_threads;
   report.metrics_json = reference_metrics.to_json_fields(4);
   if (!distscroll::util::write_bench_report(report)) {
     std::fprintf(stderr, "exp_host_ingest: could not write BENCH json\n");

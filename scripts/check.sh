@@ -15,9 +15,10 @@
 #                the shared planner body do
 #   tsan         the tsan test preset's name filter (thread pool, sweep
 #                runner, event queue, RNG, the batched 8-thread identity
-#                tests and the fleet thread-count identity tests) under
-#                ThreadSanitizer: BatchTrialRunner::local() is
-#                thread-local state used from pool threads
+#                tests, the fleet and host thread-count identity tests)
+#                under ThreadSanitizer: BatchTrialRunner::local() is
+#                thread-local state used from pool threads, and host
+#                lanes drain on pool threads under a drain token
 #
 # Every flavour runs the same pre-step: build ds_lint alone and assert
 # `ds_lint --root .` exits 0 BEFORE the (much longer) test build. A
@@ -89,7 +90,7 @@ run_perf_gate() {
 run_flavour default     'lint|unit|property|golden|batch|fleet|host'
 run_flavour tracing-off 'lint|unit|property|golden|batch|fleet|host'
 run_flavour asan-ubsan  'lint|unit|fuzz|host|batch|fleet'
-run_flavour tsan        'unit|threading|batch|fleet'
+run_flavour tsan        'unit|threading|batch|fleet|host'
 run_perf_gate
 
 echo "==> all flavours green (perf gate: ${PERF_STATUS})"

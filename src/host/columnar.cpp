@@ -89,6 +89,18 @@ void ColumnarWriter::append(const CompactRecord& record) {
   ++count_;
 }
 
+void ColumnarWriter::reserve(std::size_t records) {
+  constexpr std::size_t kVarintBytes = 3;
+  device_ids_.reserve(records * kVarintBytes);
+  times_.reserve(records * kVarintBytes);
+  seqs_.reserve(records);
+  adcs_.reserve(records * kVarintBytes);
+  depths_.reserve(records);
+  cursors_.reserve(records);
+  levels_.reserve(records);
+  buttons_.reserve(records);
+}
+
 std::vector<std::uint8_t> ColumnarWriter::finish() const {
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderBytes + kColumnCount * 4 + device_ids_.size() + times_.size() +

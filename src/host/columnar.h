@@ -94,6 +94,12 @@ class ColumnarWriter {
   explicit ColumnarWriter(std::uint16_t session_id = 0) : session_id_(session_id) {}
 
   void append(const CompactRecord& record);
+  /// Size every column once for `records` appends, so a session whose
+  /// record count is bounded up front never regrows a column. Varint
+  /// columns get 3 bytes a record: enough for any u16 device id, any
+  /// ADC delta and any time delta under about one second. More appends
+  /// than reserved still work (the columns grow).
+  void reserve(std::size_t records);
   [[nodiscard]] std::uint32_t records() const { return count_; }
   /// Serialise the container (the writer itself stays appendable, so
   /// tests can snapshot mid-stream; the pipeline calls it once).

@@ -1,6 +1,8 @@
 #include "host/host_pipeline.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <memory>
 
 #include "host/device_registry.h"
@@ -68,70 +70,113 @@ HostIngestResult run_host_ingest(const HostIngestConfig& config,
   HostIngestStats& stats = result.stats;
   std::vector<RawRecord> drained(batch);
 
+  // Every report a device can offer is known up front (ticks at
+  // phase + k·period, phase < period, up to duration_s), and at most
+  // that many frames are accepted: size the outputs once.
+  const auto reports_per_device =
+      static_cast<std::size_t>(std::max(0.0, std::ceil(config.duration_s * config.report_hz))) + 1;
+  result.records.reserve(config.devices * reports_per_device);
+  writer.reserve(config.devices * reports_per_device);
+
+  // Drain one lane: batch CRC validation, admission, acks, content
+  // verify, append. Touches only this lane's devices, the registry, the
+  // writer and the stats, so it may run while later lanes still produce.
+  const auto drain_lane = [&](std::size_t lane, double end_s) {
+    for (;;) {
+      const std::size_t n = queue.pop_batch(lane, drained);
+      if (n == 0) return;
+      for (std::size_t i = 0; i < n; ++i) {
+        const RawRecord& raw = drained[i];
+        ++stats.frames_drained;
+        const auto view = wireless::parse_wire_frame({raw.wire.data(), raw.len});
+        if (!view) {
+          ++stats.frames_crc_rejected;  // no ack: the device will retry
+          continue;
+        }
+        SimDeviceLink& link = *links[raw.device_id];
+        // Ack every VALID frame, duplicates included — the previous
+        // ack may itself have been lost (ArqReceiver's rule).
+        link.queue_ack(view->seq);
+        const DeviceRegistry::Decision decision = registry.admit(raw.device_id, view->seq);
+        if (decision.verdict == DeviceRegistry::Verdict::Duplicate ||
+            decision.verdict == DeviceRegistry::Verdict::TooOld) {
+          continue;
+        }
+        const auto report = wireless::StateReport::unpack(view->payload);
+        if (view->type != wireless::FrameType::State || !report) {
+          ++stats.frames_malformed;
+          continue;
+        }
+        if (config.verify_content) {
+          const std::uint64_t index = link.index_for_seq(view->seq);
+          if (!(link.source().report_at(index) == *report)) {
+            ++stats.content_mismatches;
+            continue;
+          }
+        }
+        CompactRecord record;
+        record.t_us = raw.t_us;
+        record.device_id = raw.device_id;
+        record.seq = view->seq;
+        record.state = *report;
+        writer.append(record);
+        result.records.push_back(record);
+        if (m_latency != nullptr) {
+          m_latency->record(end_s - static_cast<double>(raw.t_us) * 1e-6);
+        }
+      }
+    }
+  };
+
+  // Lane-major window state. `lane_depth[k]` is lane k's size right
+  // after its produce; `lane_ready[k]` publishes that produce to the
+  // drainer. `next_drain` is owned by whoever holds `drain_token`.
+  std::vector<std::size_t> lane_depth(lanes, 0);
+  const auto lane_ready = std::make_unique<std::atomic<bool>[]>(lanes);
+  std::atomic<bool> drain_token{false};
+  std::size_t next_drain = 0;
+
   const double run_end_s = config.duration_s + config.drain_grace_s;
   for (std::size_t w = 1;; ++w) {
     double end_s = static_cast<double>(w) * config.window_s;
     const bool last_window = end_s >= run_end_s;
     if (last_window) end_s = run_end_s;
 
-    // Produce phase: each lane stepped by exactly one worker; devices
-    // within a lane advance in id order.
-    pool.parallel_for(lanes, [&](std::size_t lane) {
-      for (const std::size_t d : lane_members[lane]) links[d]->step_window(end_s);
-    });
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      lane_ready[lane].store(false, std::memory_order_relaxed);
+    }
+    next_drain = 0;
 
-    const std::size_t depth = queue.depth();
+    // Lane-major: produce lane k, then drain it while its devices are
+    // still in cache. Whichever thread holds the drain token drains
+    // every ready lane in ascending order; a thread that finds the
+    // token taken moves on, and the caller drains whatever is left
+    // after the barrier. On one thread this is produce k → drain k.
+    pool.parallel_for(lanes, [&](std::size_t lane) {
+      // Devices within a lane advance in id order.
+      for (const std::size_t d : lane_members[lane]) links[d]->step_window(end_s);
+      lane_depth[lane] = queue.size(lane);
+      lane_ready[lane].store(true, std::memory_order_release);
+      while (!drain_token.exchange(true, std::memory_order_acquire)) {
+        while (next_drain < lanes && lane_ready[next_drain].load(std::memory_order_acquire)) {
+          drain_lane(next_drain++, end_s);
+        }
+        const std::size_t next = next_drain;
+        drain_token.store(false, std::memory_order_release);
+        // A lane that turned ready just before the release found the
+        // token taken: look once more rather than leave it waiting.
+        if (next == lanes || !lane_ready[next].load(std::memory_order_acquire)) break;
+      }
+    });
+    while (next_drain < lanes) drain_lane(next_drain++, end_s);
+
+    // Lanes are independent and each drains only after its own produce,
+    // so the sum of post-produce sizes is the depth the whole queue
+    // would show after an all-lanes produce phase.
+    std::size_t depth = 0;
+    for (const std::size_t lane_size : lane_depth) depth += lane_size;
     stats.max_queue_depth = std::max(stats.max_queue_depth, depth);
     if (m_depth != nullptr) m_depth->set(static_cast<double>(depth));
-
-    // Drain phase: serial, ascending lane order — the fixed merge order.
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      for (;;) {
-        const std::size_t n = queue.pop_batch(lane, drained);
-        if (n == 0) break;
-        for (std::size_t i = 0; i < n; ++i) {
-          const RawRecord& raw = drained[i];
-          ++stats.frames_drained;
-          const auto view =
-              wireless::parse_wire_frame({raw.wire.data(), raw.len});
-          if (!view) {
-            ++stats.frames_crc_rejected;  // no ack: the device will retry
-            continue;
-          }
-          SimDeviceLink& link = *links[raw.device_id];
-          // Ack every VALID frame, duplicates included — the previous
-          // ack may itself have been lost (ArqReceiver's rule).
-          link.queue_ack(view->seq);
-          const DeviceRegistry::Decision decision = registry.admit(raw.device_id, view->seq);
-          if (decision.verdict == DeviceRegistry::Verdict::Duplicate ||
-              decision.verdict == DeviceRegistry::Verdict::TooOld) {
-            continue;
-          }
-          const auto report = wireless::StateReport::unpack(view->payload);
-          if (view->type != wireless::FrameType::State || !report) {
-            ++stats.frames_malformed;
-            continue;
-          }
-          if (config.verify_content) {
-            const std::uint64_t index = link.index_for_seq(view->seq);
-            if (!(link.source().report_at(index) == *report)) {
-              ++stats.content_mismatches;
-              continue;
-            }
-          }
-          CompactRecord record;
-          record.t_us = raw.t_us;
-          record.device_id = raw.device_id;
-          record.seq = view->seq;
-          record.state = *report;
-          writer.append(record);
-          result.records.push_back(record);
-          if (m_latency != nullptr) {
-            m_latency->record(end_s - static_cast<double>(raw.t_us) * 1e-6);
-          }
-        }
-      }
-    }
 
     stats.windows = w;
     if (end_s >= config.duration_s) {

@@ -2,26 +2,37 @@
 // lane-sharded bounded queue → batch validation → per-device sequence
 // accounting → columnar compaction.
 //
-// Execution is WINDOW-PHASED. Simulated time advances in fixed windows
-// (window_s); within each window:
+// Execution is WINDOW-PHASED and LANE-MAJOR. Simulated time advances
+// in fixed windows (window_s); within each window, a parallel_for over
+// LANES runs, for each lane k:
 //
-//   1. produce phase — a parallel_for over LANES steps every device
-//      assigned to that lane (each device's own EventQueue: telemetry
-//      ticks, retransmit timers, fault rolls). One thread owns a lane
-//      for the whole phase, so lane rings need no synchronisation.
-//   2. barrier (ThreadPool::parallel_for returns).
-//   3. drain phase — single-threaded, lanes drained in ASCENDING lane
-//      order, frames in arrival order within a lane: batch CRC
-//      validation (parse_wire_frame), DeviceRegistry admission, ack
-//      generation back into each device's reverse channel, content
-//      verification against the device's pure telemetry source, and
-//      ColumnarWriter append for every accepted frame.
+//   1. produce — step every device assigned to lane k (each device's
+//      own EventQueue: telemetry ticks, retransmit timers, fault rolls)
+//      in id order. One thread owns a lane's produce, so lane rings need
+//      no synchronisation.
+//   2. record lane k's post-produce size and mark it ready.
+//   3. drain — the thread that can take the single drain token drains
+//      every ready lane in ASCENDING lane order, frames in arrival order
+//      within a lane: batch CRC validation (parse_wire_frame),
+//      DeviceRegistry admission, ack generation back into each device's
+//      reverse channel, content verification against the device's pure
+//      telemetry source, and ColumnarWriter append for every accepted
+//      frame. After the barrier the caller drains any lane still left.
+//
+// A lane's devices are drained while they are still in cache from their
+// produce. On one thread this is exactly produce k → drain k. Lane k's
+// drain touches only lane k's devices, the registry and the writer;
+// acks it queues are consumed at the next window's step_window; lanes
+// drain in the same ascending order. So the accepted stream is the one
+// an all-lanes-then-drain window gives, and the peak queue depth is the
+// sum of the per-lane post-produce sizes (DESIGN.md §13).
 //
 // Lane assignment is a pure function of (device_id, lanes, devices) and
 // the drain order is fixed, so the accepted stream — and therefore the
 // DSTL bytes, the metrics JSON, every counter — is bit-identical for
-// any `threads` value: threads only change which worker steps a lane,
-// never what any lane contains (tests/host_test.cpp pins 1/2/8).
+// any `threads` value: threads only change which worker steps or drains
+// a lane, never what any lane contains (tests/host_test.cpp pins
+// 1/2/3/8, with and without backpressure).
 //
 // After duration_s the pipeline keeps running drain windows (no new
 // telemetry ticks fire) until every device's ARQ queue is empty or
@@ -92,7 +103,7 @@ struct HostIngestStats {
   std::uint64_t sequence_gaps = 0;      // residual unfilled gaps
   std::uint64_t content_mismatches = 0; // MUST stay 0
   std::uint64_t devices_seen = 0;
-  std::size_t max_queue_depth = 0;      // peak total after a produce phase
+  std::size_t max_queue_depth = 0;      // peak Σ per-lane post-produce sizes
   std::uint64_t windows = 0;
   bool complete = false;                // fleet fully drained inside grace
 };

@@ -9,13 +9,15 @@
 // same fold-then-merge shape as study::FleetEngine:
 //
 //   * producers are sharded into LANES (fixed by config, NOT by thread
-//     count); each lane is a bounded SPSC ring owned by exactly one
-//     producer during the produce phase of a window;
-//   * the consumer drains lanes in ASCENDING LANE ORDER between produce
-//     phases — the merge order is part of the result's identity;
-//   * the ThreadPool barrier between phases is the only synchronisation
-//     needed, so the rings are plain memory with no atomics on the push
-//     path.
+//     count); each lane is a bounded ring owned by exactly one producer
+//     during its produce step of a window;
+//   * the consumer drains a lane only after that lane's produce step,
+//     in ASCENDING LANE ORDER — the merge order is part of the result's
+//     identity;
+//   * the pipeline hands a lane from producer to consumer with one
+//     release/acquire flag per lane (host_pipeline.cpp), so the rings
+//     are plain memory with no atomics on the push path. Lanes sit on
+//     their own cache lines: lane k drains while lane k+1 produces.
 //
 // try_push() failing (lane full) is the backpressure signal: the device
 // link's ARQ wire sink returns false, the ARQ sender holds the frame in
@@ -93,7 +95,7 @@ class IngestQueue {
   }
 
  private:
-  struct Lane {
+  struct alignas(64) Lane {
     std::vector<RawRecord> ring;
     std::size_t head = 0;
     std::size_t tail = 0;

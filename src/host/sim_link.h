@@ -66,7 +66,8 @@ class SimDeviceLink {
   /// drained), then run telemetry ticks and retransmit timers.
   void step_window(double end_s);
 
-  /// Consumer side (serial drain phase): queue an ack for `seq`. Subject
+  /// Consumer side (this lane's drain, serialised by the pipeline's
+  /// drain token): queue an ack for `seq`. Subject
   /// to ack-loss injection; surviving acks are consumed at the start of
   /// this device's next step_window().
   void queue_ack(std::uint8_t seq);

@@ -59,6 +59,11 @@ bool write_bench_report(const BenchReport& report) {
                   report.host_devices, report.host_wall_s, report.host_frames_per_s,
                   report.host_drop_rate, report.host_bit_identical ? "true" : "false");
     out << buffer;
+    for (const auto& [threads, rate] : report.host_frames_per_s_by_threads) {
+      std::snprintf(buffer, sizeof(buffer), ",\n  \"host_frames_per_s_t%zu\": %.1f", threads,
+                    rate);
+      out << buffer;
+    }
   }
   if (!report.metrics_json.empty()) {
     out << ",\n  \"metrics\": {\n" << report.metrics_json << "\n  }";

@@ -52,6 +52,10 @@ struct BenchReport {
   double host_drop_rate = 0.0;
   /// DSTL bytes + metrics JSON byte-equal across every thread count.
   bool host_bit_identical = true;
+  /// Accepted frames/s of each multi-thread ingest pass as (threads,
+  /// rate), emitted as "host_frames_per_s_t<threads>" — the scaling
+  /// curve beside the 1-thread host_frames_per_s.
+  std::vector<std::pair<std::size_t, double>> host_frames_per_s_by_threads;
   /// Pre-rendered `"name": value` lines for the nested "metrics" object
   /// (obs::MetricsRegistry::to_json_fields(4); util cannot link obs).
   /// Empty = no metrics block emitted.

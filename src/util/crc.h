@@ -2,9 +2,11 @@
 // DistScroll prototype and the logging PC and the calibration EEPROM
 // record; CRC-32 guards fleet checkpoints and DSTL containers.
 //
-// Both are byte-at-a-time lookups over 256-entry tables built at compile
-// time from the polynomials below. tests/util_test.cpp pins them against
-// the bitwise reference loops.
+// Both are sliced lookups over tables built at compile time from the
+// polynomials below: crc8 folds 4 bytes per step (slicing-by-4), crc32
+// folds 8 (slicing-by-8), and each finishes the tail a byte at a time.
+// tests/util_test.cpp pins them against the bitwise reference loops at
+// every length 0-40 and start offset 0-7.
 #pragma once
 
 #include <cstdint>

@@ -76,7 +76,8 @@ void ArqSender::on_timeout(std::uint64_t key) {
 }
 
 void ArqSender::on_ack_byte(std::uint8_t byte) {
-  for (auto frame = ack_decoder_.feed(byte); frame; frame = ack_decoder_.poll()) {
+  if (!ack_decoder_) ack_decoder_ = std::make_unique<FrameDecoder>();
+  for (auto frame = ack_decoder_->feed(byte); frame; frame = ack_decoder_->poll()) {
     if (frame->type == FrameType::Ack) on_ack(frame->seq);
   }
 }

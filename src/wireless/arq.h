@@ -32,6 +32,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -103,7 +104,6 @@ class ArqSender {
   /// is owed — the host ingest drain loop uses this to know a device
   /// still has frames to flush.
   [[nodiscard]] std::size_t unsent() const;
-  [[nodiscard]] const FrameDecoder& ack_decoder() const { return ack_decoder_; }
 
   // Counters for LinkStats.
   [[nodiscard]] std::uint64_t frames_accepted() const { return frames_accepted_; }
@@ -137,7 +137,9 @@ class ArqSender {
   WireSink wire_sink_;
   AckCallback ack_callback_;
   DropCallback drop_callback_;
-  FrameDecoder ack_decoder_;
+  // Built by the first on_ack_byte(): senders whose reverse channel
+  // delivers whole acks (on_ack) never pay for the byte-stream decoder.
+  std::unique_ptr<FrameDecoder> ack_decoder_;
   // Seq order; first `window` entries are active. Not reserved up front:
   // it grows to the working depth, which under normal load is far below
   // queue_capacity.

@@ -17,7 +17,9 @@
 //       DISTSCROLL_REGEN_GOLDEN=1 ./build/tests/test_host
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,7 +28,10 @@
 #include "host/device_registry.h"
 #include "host/host_pipeline.h"
 #include "host/ingest_queue.h"
+#include "host/sim_link.h"
 #include "obs/metrics.h"
+#include "sim/random.h"
+#include "wireless/packet.h"
 
 namespace {
 
@@ -386,6 +391,102 @@ TEST(HostIngest, OverloadShedsAtTheDeviceNeverCorrupts) {
   EXPECT_EQ(stats.frames_duplicate, 0u);
   // The queue never grew past its configured bound.
   EXPECT_LE(stats.max_queue_depth, config.lanes * config.lane_capacity);
+}
+
+/// What a phase-separated window gives: produce EVERY lane, then drain
+/// the lanes in ascending order. Built from the public host API as the
+/// oracle for the lane-major schedule, which must match it exactly.
+struct PhaseSeparatedRun {
+  std::vector<std::uint8_t> dstl;
+  std::uint64_t backpressure_stalls = 0;
+  std::size_t max_queue_depth = 0;
+  std::uint64_t windows = 0;
+};
+
+PhaseSeparatedRun phase_separated_ingest(const host::HostIngestConfig& config) {
+  PhaseSeparatedRun run;
+  host::IngestQueue queue(config.lanes, config.lane_capacity);
+  host::DeviceRegistry registry(config.devices);
+  host::ColumnarWriter writer(config.session_id);
+  std::vector<std::unique_ptr<host::SimDeviceLink>> links;
+  sim::Rng fleet_rng(config.base_seed);
+  for (std::size_t d = 0; d < config.devices; ++d) {
+    links.push_back(std::make_unique<host::SimDeviceLink>(
+        static_cast<std::uint16_t>(d), d * config.lanes / config.devices, queue, config.arq,
+        config.faults, 1.0 / config.report_hz, config.duration_s, fleet_rng.fork(d)));
+  }
+  std::vector<host::RawRecord> drained(config.batch);
+  const double run_end_s = config.duration_s + config.drain_grace_s;
+  for (std::size_t w = 1;; ++w) {
+    const double end_s = std::min(static_cast<double>(w) * config.window_s, run_end_s);
+    for (const auto& link : links) link->step_window(end_s);  // lane order = id order
+    run.max_queue_depth = std::max(run.max_queue_depth, queue.depth());
+    for (std::size_t lane = 0; lane < config.lanes; ++lane) {
+      while (const std::size_t n = queue.pop_batch(lane, drained)) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto view = wireless::parse_wire_frame({drained[i].wire.data(), drained[i].len});
+          if (!view) continue;
+          host::SimDeviceLink& link = *links[drained[i].device_id];
+          link.queue_ack(view->seq);
+          const auto verdict = registry.admit(drained[i].device_id, view->seq).verdict;
+          const auto report = wireless::StateReport::unpack(view->payload);
+          if (verdict == Verdict::Duplicate || verdict == Verdict::TooOld || !report ||
+              !(link.source().report_at(link.index_for_seq(view->seq)) == *report)) {
+            continue;
+          }
+          writer.append({drained[i].t_us, drained[i].device_id, view->seq, *report});
+        }
+      }
+    }
+    run.windows = w;
+    const bool pending = std::any_of(links.begin(), links.end(),
+                                     [](const auto& link) { return link->pending() > 0; });
+    if ((end_s >= config.duration_s && !pending) || end_s >= run_end_s) break;
+  }
+  for (const auto& link : links) run.backpressure_stalls += link->backpressure_stalls();
+  run.dstl = writer.finish();
+  return run;
+}
+
+TEST(HostIngest, OverloadIsBitIdenticalAcrossThreadCounts) {
+  // Backpressure crossed with thread count: with lanes this small the
+  // queue depth a device sees at wire_sink decides whether it stalls or
+  // sends, so a drain that ran early (before its lane finished
+  // producing) or a depth measured after a drain would both move the
+  // result. 1/2/3/8 threads must all match each other and the
+  // phase-separated oracle.
+  host::HostIngestConfig config;
+  config.devices = 128;
+  config.lanes = 2;
+  config.lane_capacity = 24;
+  config.arq.queue_capacity = 8;
+  config.duration_s = 0.5;
+  config.threads = 1;
+  obs::MetricsRegistry metrics1;
+  const auto base = host::run_host_ingest(config, &metrics1);
+  ASSERT_GT(base.stats.backpressure_stalls, 0u);
+  ASSERT_GT(base.stats.reports_shed, 0u);
+  const PhaseSeparatedRun oracle = phase_separated_ingest(config);
+  EXPECT_EQ(base.dstl, oracle.dstl);
+  EXPECT_EQ(base.stats.backpressure_stalls, oracle.backpressure_stalls);
+  EXPECT_EQ(base.stats.max_queue_depth, oracle.max_queue_depth);
+  EXPECT_EQ(base.stats.windows, oracle.windows);
+  // Every lane fills during its produce: the depth is read before any
+  // drain empties it.
+  EXPECT_EQ(base.stats.max_queue_depth, config.lanes * config.lane_capacity);
+  const std::string json1 = metrics1.to_json_fields();
+  for (const std::size_t threads : {2u, 3u, 8u}) {
+    config.threads = threads;
+    obs::MetricsRegistry metrics;
+    const auto other = host::run_host_ingest(config, &metrics);
+    EXPECT_EQ(other.dstl, base.dstl) << threads << " threads";
+    EXPECT_EQ(other.records, base.records) << threads << " threads";
+    EXPECT_EQ(metrics.to_json_fields(), json1) << threads << " threads";
+    EXPECT_EQ(other.stats.max_queue_depth, base.stats.max_queue_depth) << threads << " threads";
+    EXPECT_EQ(other.stats.windows, base.stats.windows) << threads << " threads";
+    EXPECT_EQ(other.stats.backpressure_stalls, base.stats.backpressure_stalls)
+        << threads << " threads";
+  }
 }
 
 TEST(HostIngest, MetricsRegistryCarriesTheIngestCounters) {
